@@ -3,7 +3,7 @@ with a baseline PSO, classic benchmark functions, and a reproducible
 experiment harness."""
 
 from .aio import AioParams, aio_step, init_aio_state, run_aio
-from .automata import LearningAutomaton
+from .automata import AutomatonBank, LearningAutomaton
 from .benchmarks import (
     BenchmarkSpec,
     ackley,
@@ -22,6 +22,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AioParams",
+    "AutomatonBank",
     "BenchmarkSpec",
     "ConfigError",
     "ExperimentConfig",

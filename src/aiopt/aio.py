@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .automata import PENALTY, REWARD, LearningAutomaton
+from .automata import AutomatonBank
 from .benchmarks import BenchmarkSpec
 from .errors import ConfigError
 from .pso import (
@@ -89,8 +89,8 @@ class SwarmPartition:
 class AioState:
     pop_a: Population
     pop_b: Population
-    dimension_automata: list[LearningAutomaton]
-    swarm_automata: list[LearningAutomaton]
+    dimension_automata: AutomatonBank
+    swarm_automata: AutomatonBank
     context: ContextState
 
     def population(self, choice: int) -> Population:
@@ -116,18 +116,13 @@ def init_aio_state(spec: BenchmarkSpec, params: AioParams, rng: np.random.Genera
     pop_b, best_b = init_population(spec, params.pso.population_size, rng)
     best = best_a if best_a.fitness <= best_b.fitness else best_b
     # A single swarm needs no membership automata (the automaton contract
-    # requires at least two actions); the partition is then trivial.
-    if params.swarm_count >= 2:
-        dimension_automata = [
-            LearningAutomaton(params.swarm_count, params.la_reward, params.la_penalty)
-            for _ in range(spec.dims)
-        ]
-    else:
-        dimension_automata = []
-    swarm_automata = [
-        LearningAutomaton(2, params.la_reward, params.la_penalty)
-        for _ in range(params.swarm_count)
-    ]
+    # requires at least two actions); the partition is then trivial and
+    # the membership bank is empty.
+    k = params.swarm_count
+    dimension_automata = AutomatonBank(
+        spec.dims if k >= 2 else 0, max(k, 2), params.la_reward, params.la_penalty
+    )
+    swarm_automata = AutomatonBank(k, 2, params.la_reward, params.la_penalty)
     context = ContextState(
         gbest_position=best.position.copy(),
         gbest_fitness=best.fitness,
@@ -137,7 +132,7 @@ def init_aio_state(spec: BenchmarkSpec, params: AioParams, rng: np.random.Genera
 
 
 def select_memberships(
-    dimension_automata: list[LearningAutomaton],
+    dimension_automata: AutomatonBank,
     swarm_count: int,
     dimension_count: int,
     rng: np.random.Generator,
@@ -149,24 +144,14 @@ def select_memberships(
     if swarm_count == 1:
         assignment = np.zeros(dimension_count, dtype=np.intp)
     else:
-        assignment = np.fromiter(
-            (a.select_action(rng) for a in dimension_automata),
-            dtype=np.intp,
-            count=dimension_count,
-        )
+        assignment = dimension_automata.select(rng)
     members = [np.flatnonzero(assignment == j) for j in range(swarm_count)]
     return SwarmPartition(assignment=assignment, members=members)
 
 
-def select_populations(
-    swarm_automata: list[LearningAutomaton], rng: np.random.Generator
-) -> np.ndarray:
+def select_populations(swarm_automata: AutomatonBank, rng: np.random.Generator) -> np.ndarray:
     """One population choice per swarm (0 = A, 1 = B)."""
-    return np.fromiter(
-        (a.select_action(rng) for a in swarm_automata),
-        dtype=np.intp,
-        count=len(swarm_automata),
-    )
+    return swarm_automata.select(rng)
 
 
 def context_vector(
@@ -221,8 +206,8 @@ def evaluate_swarm(
 def reinforce_layers(
     partition: SwarmPartition,
     improvements: np.ndarray,
-    dimension_automata: list[LearningAutomaton],
-    swarm_automata: list[LearningAutomaton],
+    dimension_automata: AutomatonBank,
+    swarm_automata: AutomatonBank,
 ) -> None:
     """Reward the automata behind improving swarms, penalize the rest.
 
@@ -230,14 +215,13 @@ def reinforce_layers(
     touched: the swarm's population automaton (at its chosen action) and
     every dimension automaton that joined the swarm.
     """
-    for j, dims in enumerate(partition.members):
-        if dims.size == 0:
-            continue
-        signal = REWARD if improvements[j] else PENALTY
-        swarm_automata[j].reinforce(int(partition.population_choice[j]), signal)
-        if dimension_automata:
-            for d in dims:
-                dimension_automata[d].reinforce(j, signal)
+    active = np.flatnonzero([dims.size for dims in partition.members])
+    swarm_automata.reinforce(active, partition.population_choice[active], improvements[active])
+    if len(dimension_automata):
+        # Each dimension belongs to the swarm its automaton picked, so that
+        # swarm is non-empty: the whole membership layer is reinforced.
+        picked = partition.assignment
+        dimension_automata.reinforce(slice(None), picked, improvements[picked])
 
 
 def rank_and_concentrate(

@@ -6,6 +6,11 @@ and shifts probability mass toward or away from the chosen action with
 learning rates ``a`` (reward) and ``b`` (penalty).  The usual scheme
 names apply: reward-penalty when a == b, reward-inaction when b == 0,
 and reward-epsilon-penalty when a is much larger than b.
+
+Automata that share an action count and rates live as the rows of one
+``AutomatonBank``, which selects and reinforces many rows per numpy call.
+A ``LearningAutomaton`` is a single row of a bank, so both share one
+update rule.
 """
 from __future__ import annotations
 
@@ -16,17 +21,22 @@ from .errors import ConfigError
 REWARD = 0
 PENALTY = 1
 
+# Row sums further than this from 1 are renormalized after an update.
+DRIFT_TOLERANCE = 1e-12
 
-class LearningAutomaton:
-    """Probability vector over ``action_count`` actions plus its update rule.
+
+class AutomatonBank:
+    """``count`` automata over ``action_count`` actions: one probability row each.
 
     The penalty update distributes ``b / (r - 1)`` to each non-chosen
-    action, which keeps the probabilities on the simplex for any action
-    count.  Both updates preserve the simplex exactly in real arithmetic;
-    a renormalization guards against float drift over long runs.
+    action, which keeps every row on the simplex for any action count.
+    Both updates preserve the simplex exactly in real arithmetic; rows
+    whose sum drifts in floating point are renormalized.  The arithmetic
+    is element-wise in a fixed order, so a row updated in a bank is
+    bit-identical to the same row updated alone.
     """
 
-    def __init__(self, action_count: int, reward_rate: float, penalty_rate: float):
+    def __init__(self, count: int, action_count: int, reward_rate: float, penalty_rate: float):
         if action_count < 2:
             raise ConfigError(f"automaton needs at least 2 actions, got {action_count}")
         if not 0.0 <= reward_rate <= 1.0:
@@ -35,11 +45,22 @@ class LearningAutomaton:
             raise ConfigError(f"penalty rate must be in [0, 1], got {penalty_rate}")
         self.reward_rate = float(reward_rate)
         self.penalty_rate = float(penalty_rate)
-        self.probabilities = np.full(action_count, 1.0 / action_count)
+        self.probabilities = np.full((count, action_count), 1.0 / action_count)
+
+    def __len__(self) -> int:
+        return len(self.probabilities)
+
+    def __getitem__(self, row: int) -> LearningAutomaton:
+        if not 0 <= row < len(self):
+            raise IndexError(f"row {row} out of range for {len(self)} automata")
+        return LearningAutomaton.row_of(self, row)
+
+    def __iter__(self):
+        return (LearningAutomaton.row_of(self, row) for row in range(len(self)))
 
     @property
     def action_count(self) -> int:
-        return len(self.probabilities)
+        return self.probabilities.shape[1]
 
     @property
     def scheme(self) -> str:
@@ -51,11 +72,98 @@ class LearningAutomaton:
             return "L_ReP"
         return "linear"
 
+    def select(self, rng: np.random.Generator, rows=slice(None)) -> np.ndarray:
+        """Draw one action per row (all rows by default), rows in order.
+
+        Row ``i`` takes the ``i``-th uniform draw ``u`` and picks the first
+        action whose cumulative probability exceeds ``u``; a draw beyond
+        a row's total (float drift) picks the last action.
+        """
+        p = self.probabilities[rows]
+        u = rng.random(len(p))
+        # Probabilities are non-negative, so cumulative sums never decrease
+        # and counting the first r - 1 of them that are <= u is the same as
+        # searchsorted(cumsum, u, side="right") clipped to r - 1.  The
+        # column-by-column sums are the sequential sums cumsum makes.
+        cumulative = p[:, 0]
+        actions = (cumulative <= u).astype(np.intp)
+        for j in range(1, self.action_count - 1):
+            cumulative = cumulative + p[:, j]
+            actions += cumulative <= u
+        return actions
+
+    def reinforce(self, rows, actions, rewarded) -> None:
+        """Update each listed row at its action; ``rewarded`` is a bool per row.
+
+        ``rows`` is a slice or an array of distinct row indices.  Rows not
+        listed are left untouched.
+        """
+        actions = np.asarray(actions, dtype=np.intp)
+        r = self.action_count
+        if actions.size and (actions.min() < 0 or actions.max() >= r):
+            raise ValueError(
+                f"actions must be in [0, {r}), got {actions.min()} to {actions.max()}"
+            )
+        self._update(rows, actions, np.asarray(rewarded, dtype=bool))
+
+    def _update(self, rows, actions: np.ndarray, rewarded: np.ndarray) -> None:
+        """The linear reinforcement rule on validated actions.
+
+        Each element goes through the same floating-point operations, in
+        the same order, as a one-automaton update that rescales the row,
+        adds the penalty share and then overwrites the chosen entry.
+        Reward rows add a share of 0.0, which leaves them exactly as they
+        were.
+        """
+        a, b = self.reward_rate, self.penalty_rate
+        p = self.probabilities[rows]
+        picked = (np.arange(len(p)), actions)
+        old = p[picked]
+        chosen = np.where(rewarded, old + a * (1.0 - old), old * (1.0 - b))
+        columns = p.T  # per-row factors broadcast along the row axis
+        columns *= np.where(rewarded, 1.0 - a, 1.0 - b)
+        columns += np.where(rewarded, 0.0, b / (self.action_count - 1))
+        p[picked] = chosen
+        total = p.sum(axis=1)
+        drifted = np.abs(total - 1.0) > DRIFT_TOLERANCE
+        if drifted.any():
+            p[drifted] /= total[drifted, None]
+        self.probabilities[rows] = p
+
+
+class LearningAutomaton:
+    """One automaton: a single row of an ``AutomatonBank``.
+
+    Constructed directly it owns a one-row bank; ``bank[i]`` gives a view
+    whose ``probabilities`` write through to the bank's row ``i``.
+    """
+
+    def __init__(self, action_count: int, reward_rate: float, penalty_rate: float):
+        self.bank = AutomatonBank(1, action_count, reward_rate, penalty_rate)
+        self.row = 0
+
+    @classmethod
+    def row_of(cls, bank: AutomatonBank, row: int) -> LearningAutomaton:
+        auto = cls.__new__(cls)
+        auto.bank = bank
+        auto.row = row
+        return auto
+
+    @property
+    def probabilities(self) -> np.ndarray:
+        return self.bank.probabilities[self.row]
+
+    @property
+    def action_count(self) -> int:
+        return self.bank.action_count
+
+    @property
+    def scheme(self) -> str:
+        return self.bank.scheme
+
     def select_action(self, rng: np.random.Generator) -> int:
         """Draw an action index according to the current probabilities."""
-        u = rng.random()
-        idx = int(np.searchsorted(np.cumsum(self.probabilities), u, side="right"))
-        return min(idx, self.action_count - 1)
+        return int(self.bank.select(rng, slice(self.row, self.row + 1))[0])
 
     def reinforce(self, action: int, signal: int) -> None:
         """Update the probability vector for the given action and signal."""
@@ -63,18 +171,6 @@ class LearningAutomaton:
             raise ValueError(f"action {action} out of range for {self.action_count} actions")
         if signal not in (REWARD, PENALTY):
             raise ValueError(f"signal must be 0 (reward) or 1 (penalty), got {signal}")
-        p = self.probabilities
-        if signal == REWARD:
-            a = self.reward_rate
-            chosen = p[action] + a * (1.0 - p[action])
-            p *= 1.0 - a
-            p[action] = chosen
-        else:
-            b = self.penalty_rate
-            chosen = p[action] * (1.0 - b)
-            p *= 1.0 - b
-            p += b / (self.action_count - 1)
-            p[action] = chosen
-        total = p.sum()
-        if abs(total - 1.0) > 1e-12:
-            p /= total
+        self.bank._update(
+            slice(self.row, self.row + 1), np.array([action]), np.array([signal == REWARD])
+        )

@@ -117,9 +117,9 @@ _LEAF_PARSERS = {
     "iterations": lambda t, s: _parse_int(t, s, minimum=0),
     "c1": lambda t, s: _parse_float(t, s, low=0.0, exclusive_low=True),
     "c2": lambda t, s: _parse_float(t, s, low=0.0, exclusive_low=True),
-    "w": lambda t, s: _parse_float(t, s),
-    "w-max": lambda t, s: _parse_float(t, s),
-    "w-min": lambda t, s: _parse_float(t, s),
+    "w": lambda t, s: _parse_float(t, s, low=0.0),
+    "w-max": lambda t, s: _parse_float(t, s, low=0.0),
+    "w-min": lambda t, s: _parse_float(t, s, low=0.0),
     "tdr-factor": lambda t, s: _parse_int(t, s, minimum=1),
     "elite-factor": lambda t, s: _parse_float(t, s, low=0.0, high=1.0, exclusive_low=True),
     "mutation-rate": lambda t, s: _parse_float(t, s, low=0.0, high=1.0),

@@ -39,6 +39,10 @@ class PsoParams:
             raise ConfigError(f"acceleration constants must be > 0, got c1={self.c1}, c2={self.c2}")
         if self.inertia_mode not in INERTIA_MODES:
             raise ConfigError(f"inertia mode must be one of {INERTIA_MODES}, got {self.inertia_mode!r}")
+        if self.w_fixed < 0:
+            raise ConfigError(f"fixed inertia weight must be >= 0, got {self.w_fixed}")
+        if self.w_min < 0:
+            raise ConfigError(f"w_min must be >= 0, got {self.w_min}")
         if self.w_min >= self.w_max:
             raise ConfigError(f"w_min must be < w_max, got {self.w_min} >= {self.w_max}")
         if self.population_size < 2:

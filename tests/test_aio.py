@@ -18,13 +18,19 @@ from aiopt.aio import (
     select_memberships,
     select_populations,
 )
-from aiopt.automata import LearningAutomaton
+from aiopt.automata import AutomatonBank
 from aiopt.pso import Population, init_population, pso_step, update_positions, update_velocities
 
 
 def force(automaton, probabilities):
     automaton.probabilities[:] = probabilities
     return automaton
+
+
+def forced_bank(rows, a=0.1, b=0.1):
+    bank = AutomatonBank(len(rows), len(rows[0]), a, b)
+    bank.probabilities[:] = rows
+    return bank
 
 
 def make_population(positions, fitness=None):
@@ -90,7 +96,7 @@ def test_init_single_swarm_needs_no_membership_automata():
     spec = lookup("sphere", 5)
     params = AioParams(swarm_count=1, pso=PsoParams(population_size=8))
     state = init_aio_state(spec, params, np.random.default_rng(0))
-    assert state.dimension_automata == []
+    assert len(state.dimension_automata) == 0
     assert len(state.swarm_automata) == 1
 
 
@@ -115,10 +121,7 @@ def test_init_gbest_is_better_of_both_populations():
 # ------------------------------------------------------------- partitioning
 
 def test_forced_memberships_group_dimensions():
-    automata = [
-        force(LearningAutomaton(2, 0.1, 0.1), [1.0, 0.0] if d % 2 == 0 else [0.0, 1.0])
-        for d in range(6)
-    ]
+    automata = forced_bank([[1.0, 0.0] if d % 2 == 0 else [0.0, 1.0] for d in range(6)])
     partition = select_memberships(automata, 2, 6, np.random.default_rng(0))
     np.testing.assert_array_equal(partition.assignment, [0, 1, 0, 1, 0, 1])
     np.testing.assert_array_equal(partition.members[0], [0, 2, 4])
@@ -126,7 +129,7 @@ def test_forced_memberships_group_dimensions():
 
 
 def test_degenerate_memberships_leave_other_swarms_empty():
-    automata = [force(LearningAutomaton(3, 0.1, 0.1), [1.0, 0.0, 0.0]) for _ in range(4)]
+    automata = forced_bank([[1.0, 0.0, 0.0]] * 4)
     partition = select_memberships(automata, 3, 4, np.random.default_rng(0))
     np.testing.assert_array_equal(partition.members[0], [0, 1, 2, 3])
     assert partition.members[1].size == 0
@@ -134,9 +137,7 @@ def test_degenerate_memberships_leave_other_swarms_empty():
 
 
 def test_one_swarm_per_dimension_when_forced():
-    automata = [
-        force(LearningAutomaton(4, 0.1, 0.1), np.eye(4)[d]) for d in range(4)
-    ]
+    automata = forced_bank(np.eye(4))
     partition = select_memberships(automata, 4, 4, np.random.default_rng(0))
     for d in range(4):
         np.testing.assert_array_equal(partition.members[d], [d])
@@ -150,7 +151,7 @@ def test_single_swarm_partition_consumes_no_randomness():
 @pytest.mark.parametrize("seed", range(5))
 def test_members_are_a_disjoint_cover(seed):
     rng = np.random.default_rng(seed)
-    automata = [LearningAutomaton(5, 0.1, 0.1) for _ in range(12)]
+    automata = AutomatonBank(12, 5, 0.1, 0.1)
     partition = select_memberships(automata, 5, 12, rng)
     joined = np.concatenate(partition.members)
     assert len(joined) == 12
@@ -158,14 +159,13 @@ def test_members_are_a_disjoint_cover(seed):
 
 
 def test_population_choices_follow_degenerate_automata():
-    automata = [force(LearningAutomaton(2, 0.1, 0.1), [1.0, 0.0]),
-                force(LearningAutomaton(2, 0.1, 0.1), [0.0, 1.0])]
+    automata = forced_bank([[1.0, 0.0], [0.0, 1.0]])
     choices = select_populations(automata, np.random.default_rng(0))
     np.testing.assert_array_equal(choices, [POP_A, POP_B])
 
 
 def test_population_choice_arity():
-    automata = [LearningAutomaton(2, 0.1, 0.1) for _ in range(5)]
+    automata = AutomatonBank(5, 2, 0.1, 0.1)
     assert len(select_populations(automata, np.random.default_rng(1))) == 5
 
 
@@ -260,8 +260,8 @@ def test_reinforce_rewards_improving_swarm():
         members=[np.array([0, 1])],
         population_choice=np.array([POP_A]),
     )
-    swarm_auto = [LearningAutomaton(2, 0.1, 0.1)]
-    dim_auto = [LearningAutomaton(2, 0.1, 0.1) for _ in range(2)]
+    swarm_auto = AutomatonBank(1, 2, 0.1, 0.1)
+    dim_auto = AutomatonBank(2, 2, 0.1, 0.1)
     reinforce_layers(partition, np.array([True]), dim_auto, swarm_auto)
     np.testing.assert_allclose(swarm_auto[0].probabilities, [0.55, 0.45], atol=1e-15)
     for auto in dim_auto:
@@ -274,8 +274,8 @@ def test_reinforce_inaction_under_zero_penalty_rate():
         members=[np.array([0, 1])],
         population_choice=np.array([POP_B]),
     )
-    swarm_auto = [LearningAutomaton(2, 0.1, 0.0)]
-    dim_auto = [LearningAutomaton(2, 0.1, 0.0) for _ in range(2)]
+    swarm_auto = AutomatonBank(1, 2, 0.1, 0.0)
+    dim_auto = AutomatonBank(2, 2, 0.1, 0.0)
     reinforce_layers(partition, np.array([False]), dim_auto, swarm_auto)
     np.testing.assert_array_equal(swarm_auto[0].probabilities, [0.5, 0.5])
     for auto in dim_auto:
@@ -288,8 +288,8 @@ def test_reinforce_skips_empty_swarms():
         members=[np.arange(3), np.array([], dtype=int)],
         population_choice=np.array([POP_A, POP_B]),
     )
-    swarm_auto = [LearningAutomaton(2, 0.1, 0.1) for _ in range(2)]
-    dim_auto = [LearningAutomaton(2, 0.1, 0.1) for _ in range(3)]
+    swarm_auto = AutomatonBank(2, 2, 0.1, 0.1)
+    dim_auto = AutomatonBank(3, 2, 0.1, 0.1)
     reinforce_layers(partition, np.array([False, False]), dim_auto, swarm_auto)
     # swarm 1 was empty: its automaton is untouched
     np.testing.assert_array_equal(swarm_auto[1].probabilities, [0.5, 0.5])
@@ -302,8 +302,8 @@ def test_reinforce_penalizes_only_member_dimension_automata():
         members=[np.array([0, 2]), np.array([1])],
         population_choice=np.array([POP_A, POP_A]),
     )
-    swarm_auto = [LearningAutomaton(2, 0.1, 0.1) for _ in range(2)]
-    dim_auto = [LearningAutomaton(2, 0.1, 0.1) for _ in range(3)]
+    swarm_auto = AutomatonBank(2, 2, 0.1, 0.1)
+    dim_auto = AutomatonBank(3, 2, 0.1, 0.1)
     reinforce_layers(partition, np.array([True, False]), dim_auto, swarm_auto)
     # dims 0 and 2 rewarded at action 0, dim 1 penalized at action 1
     assert dim_auto[0].probabilities[0] > 0.5
@@ -463,7 +463,7 @@ def test_automata_simplices_hold_after_many_steps():
     state = init_aio_state(spec, params, rng)
     for i in range(80):
         aio_step(state, spec, params, i, rng)
-    for auto in state.dimension_automata + state.swarm_automata:
+    for auto in [*state.dimension_automata, *state.swarm_automata]:
         assert abs(auto.probabilities.sum() - 1.0) <= 1e-9
         assert np.all((auto.probabilities >= 0.0) & (auto.probabilities <= 1.0))
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aiopt import ConfigError, LearningAutomaton
+from aiopt import AutomatonBank, ConfigError, LearningAutomaton
 from aiopt.automata import PENALTY, REWARD
 
 
@@ -159,3 +159,148 @@ def test_repeated_reward_converges_to_certainty():
         auto.reinforce(3, REWARD)
     assert auto.probabilities[3] > 0.999
     assert abs(auto.probabilities.sum() - 1.0) <= 1e-9
+
+
+# -------------------------------------------------- bank against scalar code
+
+def reference_select(p, rng):
+    """Scalar selection as a single automaton did it before banks existed."""
+    u = rng.random()
+    idx = int(np.searchsorted(np.cumsum(p), u, side="right"))
+    return min(idx, len(p) - 1)
+
+
+def reference_reinforce(p, action, signal, a, b):
+    """Scalar in-place update as a single automaton did it before banks existed."""
+    if signal == REWARD:
+        chosen = p[action] + a * (1.0 - p[action])
+        p *= 1.0 - a
+        p[action] = chosen
+    else:
+        chosen = p[action] * (1.0 - b)
+        p *= 1.0 - b
+        p += b / (len(p) - 1)
+        p[action] = chosen
+    total = p.sum()
+    if abs(total - 1.0) > 1e-12:
+        p /= total
+
+
+rates = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1))
+
+
+@st.composite
+def simplex_row(draw, r):
+    """A one-hot row, or random weights scaled to sum to about 1 (within 1e-9)."""
+    if draw(st.booleans()):
+        return np.eye(r)[draw(st.integers(0, r - 1))]
+    weights = np.array(draw(st.lists(st.floats(0, 1), min_size=r, max_size=r)))
+    if weights.sum() == 0.0:
+        weights[0] = 1.0
+    return weights / weights.sum() * draw(st.floats(1 - 1e-9, 1 + 1e-9))
+
+
+@st.composite
+def banks(draw):
+    r = draw(st.sampled_from([2, 3, 4, 5, 6, 9]))
+    n = draw(st.integers(1, 12))
+    bank = AutomatonBank(n, r, draw(rates), draw(rates))
+    bank.probabilities[:] = [draw(simplex_row(r)) for _ in range(n)]
+    return bank
+
+
+@settings(deadline=None, max_examples=300)
+@given(bank=banks(), seed=st.integers(0, 2**32 - 1))
+def test_bank_select_matches_scalar_reference(bank, seed):
+    before = bank.probabilities.copy()
+    actions = bank.select(np.random.default_rng(seed))
+    mirror = np.random.default_rng(seed)
+    expected = [reference_select(row, mirror) for row in before]
+    np.testing.assert_array_equal(actions, expected)
+    assert bank.probabilities.tobytes() == before.tobytes()
+
+
+class FixedDraws:
+    """Stands in for a generator: hands out the given uniforms in order."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self, n=None):
+        if n is None:
+            return self.values.pop(0)
+        drawn, self.values = self.values[:n], self.values[n:]
+        return np.array(drawn)
+
+
+def test_bank_select_breaks_ties_like_the_scalar_reference():
+    # A draw equal to a cumulative probability goes to the next action.
+    rows = [[0.25, 0.25, 0.5]] * 4
+    draws = [0.25, 0.5, 0.0, 1.0]
+    bank = AutomatonBank(4, 3, 0.1, 0.1)
+    bank.probabilities[:] = rows
+    expected = [reference_select(np.array(row), FixedDraws(draws[i:]))
+                for i, row in enumerate(rows)]
+    np.testing.assert_array_equal(bank.select(FixedDraws(draws)), expected)
+    assert expected == [1, 2, 0, 2]
+
+
+@settings(deadline=None, max_examples=300)
+@given(bank=banks(), data=st.data())
+def test_bank_reinforce_matches_scalar_reference(bank, data):
+    n, r = bank.probabilities.shape
+    order = data.draw(st.permutations(range(n)))
+    rows = np.array(order[: data.draw(st.integers(0, n))], dtype=np.intp)
+    actions = data.draw(st.lists(st.integers(0, r - 1), min_size=len(rows), max_size=len(rows)))
+    rewarded = data.draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+
+    expected = bank.probabilities.copy()
+    for row, action, reward in zip(rows, actions, rewarded):
+        reference_reinforce(expected[row], action, REWARD if reward else PENALTY,
+                            bank.reward_rate, bank.penalty_rate)
+    untouched = np.setdiff1d(np.arange(n), rows)
+    before = bank.probabilities[untouched].copy()
+
+    bank.reinforce(rows, actions, rewarded)
+    assert bank.probabilities.tobytes() == expected.tobytes()
+    assert bank.probabilities[untouched].tobytes() == before.tobytes()
+
+
+@settings(deadline=None)
+@given(n=st.integers(0, 50), seed=st.integers(0, 2**32 - 1))
+def test_vector_draw_equals_scalar_draws(n, seed):
+    # A bank draws one uniform per row in a single call; bit-identity with
+    # per-automaton draws rests on this.
+    vector = np.random.default_rng(seed).random(n)
+    scalar = np.random.default_rng(seed)
+    assert vector.tobytes() == np.array([scalar.random() for _ in range(n)]).tobytes()
+
+
+def test_bank_rows_are_writable_automaton_views():
+    bank = AutomatonBank(3, 4, 0.2, 0.1)
+    auto = bank[1]
+    assert (auto.action_count, auto.scheme) == (4, "L_ReP")
+    auto.probabilities[:] = [0.0, 1.0, 0.0, 0.0]
+    auto.reinforce(1, PENALTY)
+    np.testing.assert_array_equal(bank.probabilities[1], auto.probabilities)
+    np.testing.assert_array_equal(bank.probabilities[[0, 2]], 0.25)
+    assert [a.row for a in bank] == [0, 1, 2]
+    with pytest.raises(IndexError):
+        bank[3]
+
+
+def test_bank_rejects_out_of_range_actions():
+    bank = AutomatonBank(2, 3, 0.1, 0.1)
+    with pytest.raises(ValueError):
+        bank.reinforce([0, 1], [0, 3], [True, False])
+    with pytest.raises(ValueError):
+        bank.reinforce([0], [-1], [True])
+    np.testing.assert_array_equal(bank.probabilities, 1 / 3)
+
+
+def test_empty_bank_is_falsy_and_draws_nothing():
+    bank = AutomatonBank(0, 2, 0.1, 0.1)
+    rng = np.random.default_rng(0)
+    assert not bank and list(bank) == []
+    assert bank.select(rng).size == 0
+    assert rng.random() == np.random.default_rng(0).random()

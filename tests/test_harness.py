@@ -111,6 +111,9 @@ def test_full_parameter_document():
             "duplicate <super-component>",
         ),
         ("<aio><w-min>0.9</w-min><w-max>0.4</w-max></aio>", "<w-min> must be < <w-max>"),
+        ("<pso><w>-0.1</w></pso>", "<w> must be >= 0"),
+        ("<aio><w-min>-0.5</w-min><w-max>-0.1</w-max></aio>", "<w-min> must be >= 0"),
+        ("<aio><w-max>-0.1</w-max><w-min>-0.5</w-min></aio>", "<w-max> must be >= 0"),
     ],
 )
 def test_rejected_documents_name_the_problem(document, fragment):

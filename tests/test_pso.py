@@ -55,6 +55,8 @@ def test_default_params_match_reference_setup():
         {"w_min": 0.9, "w_max": 0.4},
         {"population_size": 1},
         {"max_iterations": -1},
+        {"w_fixed": -0.1},
+        {"w_min": -0.5, "w_max": -0.1},
     ],
 )
 def test_invalid_params_rejected(kwargs):
