@@ -13,9 +13,9 @@ from .benchmarks import (
     rosenbrock,
     sphere,
 )
-from .config import ExperimentConfig, load_config, parse_config
+from .config import load_config, parse_config
 from .errors import ConfigError
-from .harness import SummaryStats, aggregate, run_experiment, write_csv
+from .harness import ExperimentConfig, SummaryStats, aggregate, run_experiment, write_csv
 from .pso import Population, PsoParams, RunTrace, SwarmBest, run_pso
 
 __version__ = "0.1.0"

@@ -28,7 +28,7 @@ import numpy as np
 
 from .automata import AutomatonBank
 from .benchmarks import BenchmarkSpec
-from .errors import ConfigError
+from .errors import check
 from .pso import (
     Population,
     PsoParams,
@@ -55,16 +55,22 @@ class AioParams:
     pso: PsoParams = field(default_factory=PsoParams)
 
     def __post_init__(self):
-        if self.swarm_count < 1:
-            raise ConfigError(f"swarm count must be >= 1, got {self.swarm_count}")
-        if not 0.0 < self.elite_factor <= 1.0:
-            raise ConfigError(f"elite factor must be in (0, 1], got {self.elite_factor}")
-        if not 0.0 <= self.mutation_rate <= 1.0:
-            raise ConfigError(f"mutation rate must be in [0, 1], got {self.mutation_rate}")
-        if not 0.0 <= self.la_reward <= 1.0:
-            raise ConfigError(f"automaton reward rate must be in [0, 1], got {self.la_reward}")
-        if not 0.0 <= self.la_penalty <= 1.0:
-            raise ConfigError(f"automaton penalty rate must be in [0, 1], got {self.la_penalty}")
+        check(
+            (self.swarm_count >= 1, f"<tdr-factor> must be >= 1, got {self.swarm_count}"),
+            (0.0 < self.elite_factor <= 1.0,
+             f"<elite-factor> must be > 0 and <= 1, got {self.elite_factor}"),
+            (0.0 <= self.mutation_rate <= 1.0,
+             f"<mutation-rate> must be >= 0 and <= 1, got {self.mutation_rate}"),
+            (0.0 <= self.la_reward <= 1.0,
+             f"<la-reward> must be >= 0 and <= 1, got {self.la_reward}"),
+            (0.0 <= self.la_penalty <= 1.0,
+             f"<la-penalty> must be >= 0 and <= 1, got {self.la_penalty}"),
+        )
+
+
+def swarm_count_rule(swarm_count: int, dims: int) -> tuple[bool, str]:
+    """Every swarm must be able to own a dimension; a rule for ``check``."""
+    return swarm_count <= dims, f"<tdr-factor> must be <= <dimensions>, got {swarm_count} > {dims}"
 
 
 @dataclass
@@ -108,10 +114,7 @@ def init_aio_state(spec: BenchmarkSpec, params: AioParams, rng: np.random.Genera
     Population A is initialized before population B; the shared global
     best starts from the better of the two initial bests.
     """
-    if params.swarm_count > spec.dims:
-        raise ConfigError(
-            f"swarm count {params.swarm_count} exceeds dimension count {spec.dims}"
-        )
+    check(swarm_count_rule(params.swarm_count, spec.dims))
     pop_a, best_a = init_population(spec, params.pso.population_size, rng)
     pop_b, best_b = init_population(spec, params.pso.population_size, rng)
     best = best_a if best_a.fitness <= best_b.fitness else best_b
@@ -157,14 +160,19 @@ def select_populations(swarm_automata: AutomatonBank, rng: np.random.Generator) 
 def context_vector(
     swarm_dims: np.ndarray, particle_values: np.ndarray, gbest_position: np.ndarray
 ) -> np.ndarray:
-    """Global best with the swarm's dimensions replaced by particle values."""
+    """Global best with the swarm's dimensions replaced by particle values.
+
+    ``particle_values`` holds one particle's swarm-dimension values, or a
+    2-D batch of them with one row per particle, which gives one context
+    row per particle.
+    """
     swarm_dims = np.asarray(swarm_dims, dtype=np.intp)
     if swarm_dims.size == 0:
         raise ValueError("swarm dimension set must be non-empty")
     if swarm_dims.min() < 0 or swarm_dims.max() >= len(gbest_position):
         raise ValueError("swarm dimension index out of range")
-    result = gbest_position.copy()
-    result[swarm_dims] = particle_values
+    result = np.tile(gbest_position, np.shape(particle_values)[:-1] + (1,))
+    result[..., swarm_dims] = particle_values
     return result
 
 
@@ -182,8 +190,9 @@ def evaluate_swarm(
     best if it strictly improves it.  Returns the per-particle context
     fitness and whether the global best improved.
     """
-    contexts = np.tile(context.gbest_position, (population.size, 1))
-    contexts[:, swarm_dims] = population.positions[:, swarm_dims]
+    contexts = context_vector(
+        swarm_dims, population.positions[:, swarm_dims], context.gbest_position
+    )
     fitness = np.asarray(spec.evaluate(contexts), dtype=np.float64)
 
     improved = fitness < population.pbest_fitness
@@ -247,10 +256,9 @@ def rank_and_concentrate(
     velocities = population.velocities[:, swarm_dims]
     pbest = population.pbest_positions[:, swarm_dims]
     gbest = gbest_position[swarm_dims]
-    v_max = pso_p.v_max if pso_p.v_max is not None else spec.upper - spec.lower
 
     velocities = update_velocities(
-        positions, velocities, pbest, gbest, w, pso_p.c1, pso_p.c2, v_max, rng
+        positions, velocities, pbest, gbest, w, pso_p.c1, pso_p.c2, spec.upper - spec.lower, rng
     )
     positions = update_positions(positions, velocities, spec.lower, spec.upper)
 

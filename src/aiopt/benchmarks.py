@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import check
 
 
 def _as_points(x, min_dims: int = 1) -> np.ndarray:
@@ -99,13 +99,18 @@ class BenchmarkSpec:
         return FUNCTIONS[self.name](x)
 
 
+def lookup_rules(name: str, dims: int) -> list[tuple[bool, str]]:
+    """The ``check`` rules that ``lookup`` enforces on its arguments."""
+    valid = ", ".join(sorted(FUNCTIONS))
+    return [
+        (name in FUNCTIONS, f"<benchmark> must be one of {valid}, got {name!r}"),
+        (dims >= 2, f"<dimensions> must be >= 2, got {dims}"),
+    ]
+
+
 def lookup(name: str, dims: int) -> BenchmarkSpec:
     """Resolve a benchmark name to its spec with the standard domain."""
-    if name not in FUNCTIONS:
-        valid = ", ".join(sorted(FUNCTIONS))
-        raise ConfigError(f"unknown benchmark {name!r}; valid names: {valid}")
-    if dims < 2:
-        raise ConfigError(f"benchmark dimension count must be >= 2, got {dims}")
+    check(*lookup_rules(name, dims))
     lower, upper = DOMAINS[name]
     optimum = np.ones(dims) if name == "rosenbrock" else np.zeros(dims)
     return BenchmarkSpec(

@@ -1,14 +1,50 @@
 """Experiment driver: seeded runs, aggregation, CSV convergence output."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aio import run_aio
-from .benchmarks import lookup
-from .config import ExperimentConfig
-from .pso import RunTrace, run_pso
+from .aio import AioParams, run_aio, swarm_count_rule
+from .benchmarks import lookup, lookup_rules
+from .errors import check
+from .pso import PsoParams, RunTrace, run_pso
+
+ALGORITHMS = ("pso", "aio")
+
+
+@dataclass
+class ExperimentConfig:
+    """Full parameterization of a multi-seed experiment."""
+
+    algorithm: str
+    benchmark: str = "sphere"
+    dims: int = 30
+    runs: int = 5
+    base_seed: int = 1
+    pso_params: PsoParams = field(default_factory=PsoParams)
+    aio_params: AioParams = field(default_factory=AioParams)
+    output_path: str | None = None
+
+    def _rules(self) -> list[tuple[bool, str]]:
+        return [
+            (self.algorithm in ALGORITHMS,
+             f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}"),
+            (self.runs >= 1, f"<runs> must be >= 1, got {self.runs}"),
+            (self.base_seed >= 0, f"<seed> must be >= 0, got {self.base_seed}"),
+            *lookup_rules(self.benchmark, self.dims),
+        ]
+
+    def __post_init__(self):
+        check(*self._rules())
+
+    def validate(self) -> None:
+        """Re-check every field, since callers may assign fields after
+        construction, then check the swarm count against the dimensions."""
+        rules = self._rules()
+        if self.algorithm == "aio":
+            rules.append(swarm_count_rule(self.aio_params.swarm_count, self.dims))
+        check(*rules)
 
 
 @dataclass

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .benchmarks import BenchmarkSpec
-from .errors import ConfigError
+from .errors import ConfigError, check
 
 INERTIA_MODES = ("fixed", "slow", "quick")
 
@@ -21,7 +21,7 @@ INERTIA_MODES = ("fixed", "slow", "quick")
 class PsoParams:
     """Swarm update constants and iteration budget.
 
-    ``v_max`` of None means "full domain width", resolved per benchmark.
+    Each range message names the XML tag that sets the field.
     """
 
     c1: float = 1.49445
@@ -32,23 +32,22 @@ class PsoParams:
     w_min: float = 0.4
     population_size: int = 50
     max_iterations: int = 10_000
-    v_max: float | None = None
 
     def __post_init__(self):
-        if self.c1 <= 0 or self.c2 <= 0:
-            raise ConfigError(f"acceleration constants must be > 0, got c1={self.c1}, c2={self.c2}")
-        if self.inertia_mode not in INERTIA_MODES:
-            raise ConfigError(f"inertia mode must be one of {INERTIA_MODES}, got {self.inertia_mode!r}")
-        if self.w_fixed < 0:
-            raise ConfigError(f"fixed inertia weight must be >= 0, got {self.w_fixed}")
-        if self.w_min < 0:
-            raise ConfigError(f"w_min must be >= 0, got {self.w_min}")
-        if self.w_min >= self.w_max:
-            raise ConfigError(f"w_min must be < w_max, got {self.w_min} >= {self.w_max}")
-        if self.population_size < 2:
-            raise ConfigError(f"population size must be >= 2, got {self.population_size}")
-        if self.max_iterations < 0:
-            raise ConfigError(f"iteration count must be >= 0, got {self.max_iterations}")
+        check(
+            (self.c1 > 0, f"<c1> must be > 0, got {self.c1}"),
+            (self.c2 > 0, f"<c2> must be > 0, got {self.c2}"),
+            (self.inertia_mode in INERTIA_MODES,
+             f"inertia mode must be one of {INERTIA_MODES}, got {self.inertia_mode!r}"),
+            (self.w_fixed >= 0, f"<w> must be >= 0, got {self.w_fixed}"),
+            (self.w_max >= 0, f"<w-max> must be >= 0, got {self.w_max}"),
+            (self.w_min >= 0, f"<w-min> must be >= 0, got {self.w_min}"),
+            (self.w_min < self.w_max,
+             f"<w-min> must be < <w-max>, got {self.w_min} >= {self.w_max}"),
+            (self.population_size >= 2,
+             f"<population-size> must be >= 2, got {self.population_size}"),
+            (self.max_iterations >= 0, f"<iterations> must be >= 0, got {self.max_iterations}"),
+        )
 
 
 @dataclass
@@ -178,7 +177,6 @@ def pso_step(
             fitness=float(population.pbest_fitness[best]),
         )
     w = inertia_weight(params.inertia_mode, iteration, params)
-    v_max = params.v_max if params.v_max is not None else spec.upper - spec.lower
     population.velocities = update_velocities(
         population.positions,
         population.velocities,
@@ -187,7 +185,7 @@ def pso_step(
         w,
         params.c1,
         params.c2,
-        v_max,
+        spec.upper - spec.lower,
         rng,
     )
     population.positions = update_positions(

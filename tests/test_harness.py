@@ -114,12 +114,29 @@ def test_full_parameter_document():
         ("<pso><w>-0.1</w></pso>", "<w> must be >= 0"),
         ("<aio><w-min>-0.5</w-min><w-max>-0.1</w-max></aio>", "<w-min> must be >= 0"),
         ("<aio><w-max>-0.1</w-max><w-min>-0.5</w-min></aio>", "<w-max> must be >= 0"),
+        ("<aio><c1>1e309</c1></aio>", "<c1> must be a finite number"),
+        ("<aio><population-size>1</population-size></aio>", "<population-size> must be >= 2"),
+        ("<aio><iterations>-1</iterations></aio>", "<iterations> must be >= 0"),
+        ("<aio><seed>-1</seed></aio>", "<seed> must be >= 0"),
+        ("<aio><tdr-factor>0</tdr-factor></aio>", "<tdr-factor> must be >= 1"),
+        ("<aio><elite-factor>0</elite-factor></aio>", "<elite-factor> must be > 0"),
+        ("<aio><la-reward>1.5</la-reward></aio>", "<la-reward> must be >= 0 and <= 1"),
+        ("<aio><la-penalty>-0.1</la-penalty></aio>", "<la-penalty> must be >= 0 and <= 1"),
+        ("<aio><c2>0</c2></aio>", "<c2> must be > 0"),
     ],
 )
 def test_rejected_documents_name_the_problem(document, fragment):
     with pytest.raises(ConfigError) as err:
         parse_config(document)
     assert fragment in str(err.value)
+
+
+def test_every_bad_value_is_reported():
+    with pytest.raises(ConfigError) as err:
+        parse_config("<aio><c1>-1</c1><population-size>1</population-size></aio>")
+    message = str(err.value)
+    assert "<c1> must be > 0" in message
+    assert "<population-size> must be >= 2" in message
 
 
 def test_malformed_xml_reports_position():
@@ -327,6 +344,14 @@ def test_cli_unknown_benchmark_lists_names(tmp_path, capsys):
     assert code == 1
     for name in ("sphere", "rosenbrock", "ackley", "griewank", "rastrigin"):
         assert name in captured.err
+
+
+def test_cli_dimension_override_is_validated(tmp_path, capsys):
+    config = write_config(tmp_path)
+    code = main(["--config", config, "--dims", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "<dimensions>" in captured.err
 
 
 def test_cli_requires_config_flag(capsys):
