@@ -14,6 +14,7 @@ import sys
 
 from aiopt import (
     AioParams,
+    ConfigError,
     PsoParams,
     aggregate,
     lookup,
@@ -21,6 +22,9 @@ from aiopt import (
     run_pso,
     write_csv,
 )
+from aiopt.aio import swarm_count_rule
+from aiopt.benchmarks import lookup_rules
+from aiopt.errors import check
 
 BENCHMARKS = ("sphere", "rosenbrock", "ackley", "griewank", "rastrigin")
 
@@ -42,9 +46,15 @@ def parse_args(argv):
 def main(argv=None):
     args = parse_args(argv)
     seeds = range(args.seed, args.seed + args.runs)
-    pso_params = PsoParams(population_size=args.population_size,
-                           max_iterations=args.iterations)
-    aio_params = AioParams(pso=pso_params)
+    try:
+        pso_params = PsoParams(population_size=args.population_size,
+                               max_iterations=args.iterations)
+        aio_params = AioParams(pso=pso_params)
+        check(*lookup_rules(BENCHMARKS[0], args.dims),
+              swarm_count_rule(aio_params.swarm_count, args.dims))
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
     if args.csv_dir is not None:
         os.makedirs(args.csv_dir, exist_ok=True)

@@ -157,6 +157,15 @@ def select_populations(swarm_automata: AutomatonBank, rng: np.random.Generator) 
     return swarm_automata.select(rng)
 
 
+def _checked_dims(swarm_dims: np.ndarray, dims: int) -> np.ndarray:
+    swarm_dims = np.asarray(swarm_dims, dtype=np.intp)
+    if swarm_dims.size == 0:
+        raise ValueError("swarm dimension set must be non-empty")
+    if swarm_dims.min() < 0 or swarm_dims.max() >= dims:
+        raise ValueError("swarm dimension index out of range")
+    return swarm_dims
+
+
 def context_vector(
     swarm_dims: np.ndarray, particle_values: np.ndarray, gbest_position: np.ndarray
 ) -> np.ndarray:
@@ -166,11 +175,7 @@ def context_vector(
     2-D batch of them with one row per particle, which gives one context
     row per particle.
     """
-    swarm_dims = np.asarray(swarm_dims, dtype=np.intp)
-    if swarm_dims.size == 0:
-        raise ValueError("swarm dimension set must be non-empty")
-    if swarm_dims.min() < 0 or swarm_dims.max() >= len(gbest_position):
-        raise ValueError("swarm dimension index out of range")
+    swarm_dims = _checked_dims(swarm_dims, len(gbest_position))
     result = np.tile(gbest_position, np.shape(particle_values)[:-1] + (1,))
     result[..., swarm_dims] = particle_values
     return result
@@ -184,16 +189,24 @@ def evaluate_swarm(
 ):
     """Context-evaluate every particle of a swarm's chosen population.
 
+    Objectives with per-column terms score the context rows from the
+    swarm's columns (``BenchmarkSpec.context_fitness``); rosenbrock, whose
+    terms couple neighbouring columns, evaluates the full context rows.
+    Either way the fitness has the bits of ``evaluate`` on the full rows.
+
     Personal bests take the swarm-dimension values and the new fitness on
     strict improvement.  After all particles are scored against the same
     global-best snapshot, the single best one is merged into the global
     best if it strictly improves it.  Returns the per-particle context
     fitness and whether the global best improved.
     """
-    contexts = context_vector(
-        swarm_dims, population.positions[:, swarm_dims], context.gbest_position
-    )
-    fitness = np.asarray(spec.evaluate(contexts), dtype=np.float64)
+    gbest = context.gbest_position
+    values = population.positions[:, swarm_dims]
+    if spec.has_terms:
+        fitness = spec.context_fitness(_checked_dims(swarm_dims, len(gbest)), values, gbest)
+    else:
+        fitness = spec.evaluate(context_vector(swarm_dims, values, gbest))
+    fitness = np.asarray(fitness, dtype=np.float64)
 
     improved = fitness < population.pbest_fitness
     if improved.any():
@@ -258,7 +271,8 @@ def rank_and_concentrate(
     gbest = gbest_position[swarm_dims]
 
     velocities = update_velocities(
-        positions, velocities, pbest, gbest, w, pso_p.c1, pso_p.c2, spec.upper - spec.lower, rng
+        positions, velocities, pbest, gbest, w, pso_p.c1, pso_p.c2, spec.upper - spec.lower, rng,
+        population.step_buffers(swarm_dims.size),
     )
     positions = update_positions(positions, velocities, spec.lower, spec.upper)
 

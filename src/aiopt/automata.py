@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import check
 
 REWARD = 0
 PENALTY = 1
@@ -37,12 +37,12 @@ class AutomatonBank:
     """
 
     def __init__(self, count: int, action_count: int, reward_rate: float, penalty_rate: float):
-        if action_count < 2:
-            raise ConfigError(f"automaton needs at least 2 actions, got {action_count}")
-        if not 0.0 <= reward_rate <= 1.0:
-            raise ConfigError(f"reward rate must be in [0, 1], got {reward_rate}")
-        if not 0.0 <= penalty_rate <= 1.0:
-            raise ConfigError(f"penalty rate must be in [0, 1], got {penalty_rate}")
+        check(
+            (action_count >= 2, f"automaton needs at least 2 actions, got {action_count}"),
+            (0.0 <= reward_rate <= 1.0, f"<la-reward> must be >= 0 and <= 1, got {reward_rate}"),
+            (0.0 <= penalty_rate <= 1.0,
+             f"<la-penalty> must be >= 0 and <= 1, got {penalty_rate}"),
+        )
         self.reward_rate = float(reward_rate)
         self.penalty_rate = float(penalty_rate)
         self.probabilities = np.full((count, action_count), 1.0 / action_count)

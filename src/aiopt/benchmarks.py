@@ -3,7 +3,10 @@
 Five classic test functions (sphere, rosenbrock, ackley, griewank,
 rastrigin), each with its canonical search domain and a known global
 minimum of 0.  All functions accept a 1-D vector and return a float,
-or a 2-D batch of row vectors and return a 1-D array of values.
+or a 2-D batch of row vectors and return a 1-D array of values.  Four of
+them reduce per-column terms, so ``BenchmarkSpec.context_fitness`` can
+score points that differ from a base point on a few columns by computing
+terms for those columns only.
 """
 from __future__ import annotations
 
@@ -29,10 +32,84 @@ def _scalarize(x: np.ndarray, value: np.ndarray) -> float | np.ndarray:
     return float(value) if x.ndim == 1 else value
 
 
+# Four objectives are a reduction over per-column terms.  ``terms(x, index)``
+# maps points whose columns sit at the 1-based positions ``index`` to term
+# arrays shaped like ``x``; ``reduce(terms, n)`` folds the last axis of n
+# columns to one value per point.  The full functions and
+# ``BenchmarkSpec.context_fitness`` share these kernels.  Each kernel applies
+# its formula's operations one ufunc at a time, in the formula's order, into
+# as few buffers as it can, so the terms are the formula's bits.
+
+
+def _cos_2pi(x: np.ndarray) -> np.ndarray:
+    """``np.cos(2.0 * np.pi * x)`` in one buffer."""
+    out = np.multiply(2.0 * np.pi, x)
+    return np.cos(out, out=out)
+
+
+def _sphere_terms(x, index):
+    return (x * x,)
+
+
+def _sphere_reduce(terms, n):
+    return np.sum(terms[0], axis=-1)
+
+
+def _ackley_terms(x, index):
+    return x * x, _cos_2pi(x)
+
+
+def _ackley_reduce(terms, n):
+    radial = -20.0 * np.exp(-0.2 * np.sqrt(np.mean(terms[0], axis=-1)))
+    cosine = -np.exp(np.mean(terms[1], axis=-1))
+    return radial + cosine + 20.0 + np.e
+
+
+def _griewank_terms(x, index):
+    trig = np.divide(x, np.sqrt(index))
+    return x * x, np.cos(trig, out=trig)
+
+
+def _griewank_reduce(terms, n):
+    quad = np.sum(terms[0], axis=-1) / 4000.0
+    return quad - np.prod(terms[1], axis=-1) + 1.0
+
+
+def _rastrigin_terms(x, index):
+    """``x * x - 10.0 * np.cos(2.0 * np.pi * x)``."""
+    sq = x * x
+    wave = _cos_2pi(x)
+    np.multiply(10.0, wave, out=wave)
+    return (np.subtract(sq, wave, out=sq),)
+
+
+def _rastrigin_reduce(terms, n):
+    return 10.0 * n + np.sum(terms[0], axis=-1)
+
+
+TERMS = {
+    "sphere": (_sphere_terms, _sphere_reduce),
+    "ackley": (_ackley_terms, _ackley_reduce),
+    "griewank": (_griewank_terms, _griewank_reduce),
+    "rastrigin": (_rastrigin_terms, _rastrigin_reduce),
+}
+
+
+def _index(n: int) -> np.ndarray:
+    """1-based float64 column positions of an n-column point."""
+    return np.arange(1, n + 1, dtype=np.float64)
+
+
+def _from_terms(name: str, x) -> float | np.ndarray:
+    x = _as_points(x)
+    terms, reduce = TERMS[name]
+    n = x.shape[-1]
+    return _scalarize(x, reduce(terms(x, _index(n)), n))
+
+
 def sphere(x) -> float | np.ndarray:
     """Sum of squares; single bowl-shaped minimum at the origin."""
-    x = _as_points(x)
-    return _scalarize(x, np.sum(x * x, axis=-1))
+    return _from_terms("sphere", x)
 
 
 def rosenbrock(x) -> float | np.ndarray:
@@ -44,26 +121,17 @@ def rosenbrock(x) -> float | np.ndarray:
 
 def ackley(x) -> float | np.ndarray:
     """Nearly flat outer region with a deep hole at the origin."""
-    x = _as_points(x)
-    radial = -20.0 * np.exp(-0.2 * np.sqrt(np.mean(x * x, axis=-1)))
-    cosine = -np.exp(np.mean(np.cos(2.0 * np.pi * x), axis=-1))
-    return _scalarize(x, radial + cosine + 20.0 + np.e)
+    return _from_terms("ackley", x)
 
 
 def griewank(x) -> float | np.ndarray:
     """Quadratic bowl modulated by a cosine product (1-based indices)."""
-    x = _as_points(x)
-    idx = np.arange(1, x.shape[-1] + 1, dtype=np.float64)
-    quad = np.sum(x * x, axis=-1) / 4000.0
-    trig = np.prod(np.cos(x / np.sqrt(idx)), axis=-1)
-    return _scalarize(x, quad - trig + 1.0)
+    return _from_terms("griewank", x)
 
 
 def rastrigin(x) -> float | np.ndarray:
     """Sinusoidally modulated bowl with a regular grid of local minima."""
-    x = _as_points(x)
-    n = x.shape[-1]
-    return _scalarize(x, 10.0 * n + np.sum(x * x - 10.0 * np.cos(2.0 * np.pi * x), axis=-1))
+    return _from_terms("rastrigin", x)
 
 
 FUNCTIONS = {
@@ -97,6 +165,41 @@ class BenchmarkSpec:
 
     def evaluate(self, x) -> float | np.ndarray:
         return FUNCTIONS[self.name](x)
+
+    @property
+    def has_terms(self) -> bool:
+        """Whether the objective is a reduction over per-column terms (see ``TERMS``)."""
+        return self.name in TERMS
+
+    def context_fitness(
+        self, swarm_dims: np.ndarray, values: np.ndarray, base: np.ndarray
+    ) -> np.ndarray:
+        """Fitness of ``base`` with columns ``swarm_dims`` set to each row of ``values``.
+
+        Bit for bit ``evaluate`` of those context rows, for objectives with
+        terms: the term matrix is the base point's term row tiled, with the
+        swarm's columns overwritten by the terms of ``values``, so the
+        kernels see one row plus the swarm's columns instead of every
+        context row.  ``swarm_dims`` must be non-empty, distinct and in
+        range.  Raises ``ValueError`` on a non-finite value, or a
+        non-finite base entry outside ``swarm_dims``.
+        """
+        terms, reduce = TERMS[self.name]
+        values = np.asarray(values, dtype=np.float64)
+        # The context rows replace the swarm's columns of base, so those
+        # entries are neither checked nor passed to a kernel.
+        base = np.array(base, dtype=np.float64)
+        base[swarm_dims] = 0.0
+        if not (np.isfinite(base).all() and np.isfinite(values).all()):
+            raise ValueError("input contains non-finite entries")
+        n = len(base)
+        index = _index(n)
+        matrices = []
+        for row, part in zip(terms(base, index), terms(values, index[swarm_dims])):
+            matrix = np.tile(row, (len(values), 1))
+            matrix[:, swarm_dims] = part
+            matrices.append(matrix)
+        return reduce(matrices, n)
 
 
 def lookup_rules(name: str, dims: int) -> list[tuple[bool, str]]:

@@ -8,11 +8,12 @@ adaptive optimizer built on top of it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .benchmarks import BenchmarkSpec
-from .errors import ConfigError, check
+from .errors import check
 
 INERTIA_MODES = ("fixed", "slow", "quick")
 
@@ -63,6 +64,25 @@ class Population:
     def size(self) -> int:
         return len(self.positions)
 
+    @cached_property
+    def _work(self) -> np.ndarray:
+        # Both work arrays in one allocation, made on the first step.  At
+        # D = 1000 it is 800 KB, which glibc serves with mmap; releasing it
+        # at the end of a run raises glibc's heap trim threshold to twice
+        # that, so set-ups that follow a run keep their heap pages instead
+        # of faulting in fresh ones.
+        return np.empty((2, self.positions.size))
+
+    def step_buffers(self, columns: int) -> tuple[np.ndarray, np.ndarray]:
+        """Two contiguous ``(size, columns)`` work arrays for ``update_velocities``.
+
+        Views into one buffer that lives as long as the population, so
+        neither the full step nor a step on a column subset allocates them.
+        """
+        count = self.size * columns
+        draw, diff = (work[:count].reshape(self.size, columns) for work in self._work)
+        return draw, diff
+
 
 @dataclass
 class SwarmBest:
@@ -84,8 +104,7 @@ def init_population(spec: BenchmarkSpec, size: int, rng: np.random.Generator):
 
     Returns the population together with the best initial particle.
     """
-    if size < 2:
-        raise ConfigError(f"population size must be >= 2, got {size}")
+    check((size >= 2, f"<population-size> must be >= 2, got {size}"))
     positions = rng.uniform(spec.lower, spec.upper, size=(size, spec.dims))
     fitness = np.asarray(spec.evaluate(positions), dtype=np.float64)
     population = Population(
@@ -124,32 +143,44 @@ def update_velocities(
     c2: float,
     v_max: float,
     rng: np.random.Generator,
+    buffers: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """New velocities with fresh per-dimension random factors, clamped to v_max."""
-    r1 = rng.random(positions.shape)
-    r2 = rng.random(positions.shape)
-    new_v = (
-        w * velocities
-        + c1 * r1 * (pbest_positions - positions)
-        + c2 * r2 * (gbest_position - positions)
+    """Update ``velocities`` in place with fresh per-dimension random factors.
+
+    Computes ``w*v + c1*r1*(pbest - x) + c2*r2*(gbest - x)`` one operation
+    at a time in that order, so the result has the expression's bits, then
+    clamps it to v_max.  ``r1`` and then ``r2`` are drawn into the first of
+    ``buffers``, two float64 work arrays shaped like ``positions`` (fresh
+    ones when omitted); the second holds the differences.  Returns
+    ``velocities``.
+    """
+    draw, diff = buffers if buffers is not None else (
+        np.empty(positions.shape), np.empty(positions.shape)
     )
-    np.clip(new_v, -v_max, v_max, out=new_v)
-    return new_v
+    np.multiply(w, velocities, out=velocities)
+    for c, best in ((c1, pbest_positions), (c2, gbest_position)):
+        rng.random(out=draw)
+        np.multiply(c, draw, out=draw)
+        np.multiply(draw, np.subtract(best, positions, out=diff), out=draw)
+        np.add(velocities, draw, out=velocities)
+    np.clip(velocities, -v_max, v_max, out=velocities)
+    return velocities
 
 
 def update_positions(
     positions: np.ndarray, velocities: np.ndarray, lower: float, upper: float
 ) -> np.ndarray:
-    """Move by the new velocities; clamp to the box and zero clamped velocity.
+    """Move ``positions`` in place by the new velocities; returns ``positions``.
 
-    ``velocities`` is modified in place where components hit a bound.
+    Components that leave the box are clamped to it, and their entries of
+    ``velocities`` are set to zero in place.
     """
-    new_pos = positions + velocities
-    out_of_box = (new_pos < lower) | (new_pos > upper)
+    np.add(positions, velocities, out=positions)
+    out_of_box = (positions < lower) | (positions > upper)
     if out_of_box.any():
         velocities[out_of_box] = 0.0
-        np.clip(new_pos, lower, upper, out=new_pos)
-    return new_pos
+        np.clip(positions, lower, upper, out=positions)
+    return positions
 
 
 def pso_step(
@@ -160,7 +191,7 @@ def pso_step(
     iteration: int,
     rng: np.random.Generator,
 ) -> SwarmBest:
-    """One synchronous iteration: evaluate, update bests, then move.
+    """One synchronous iteration: evaluate, update bests, then move in place.
 
     Personal and global bests only change on strict improvement, so the
     returned global best never gets worse.
@@ -177,7 +208,7 @@ def pso_step(
             fitness=float(population.pbest_fitness[best]),
         )
     w = inertia_weight(params.inertia_mode, iteration, params)
-    population.velocities = update_velocities(
+    update_velocities(
         population.positions,
         population.velocities,
         population.pbest_positions,
@@ -187,10 +218,9 @@ def pso_step(
         params.c2,
         spec.upper - spec.lower,
         rng,
+        population.step_buffers(spec.dims),
     )
-    population.positions = update_positions(
-        population.positions, population.velocities, spec.lower, spec.upper
-    )
+    update_positions(population.positions, population.velocities, spec.lower, spec.upper)
     return gbest
 
 

@@ -2,6 +2,8 @@
 concentration, and full-run contracts."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aiopt import AioParams, ConfigError, PsoParams, aio_step, init_aio_state, lookup, run_aio
 from aiopt.aio import (
@@ -19,6 +21,7 @@ from aiopt.aio import (
     select_populations,
 )
 from aiopt.automata import AutomatonBank
+from aiopt.benchmarks import FUNCTIONS
 from aiopt.pso import Population, init_population, pso_step, update_positions, update_velocities
 
 
@@ -250,6 +253,97 @@ def test_evaluate_updates_pbest_on_swarm_dims_only():
     # dim 1 takes the particle value, untouched dims keep the old memory
     np.testing.assert_array_equal(population.pbest_positions, [[7.0, 1.0, 7.0]])
     assert population.pbest_fitness[0] == 1.0
+
+
+# ------------------------------------------------- context fitness from terms
+
+def full_context_fitness(spec, cols, values, gbest):
+    return np.asarray(spec.evaluate(context_vector(cols, values, gbest)), dtype=np.float64)
+
+
+def assert_context_fitness_exact(name, dims, cols, seed, particles=7):
+    """evaluate_swarm (and context_fitness, where defined) bit-equal the full rows."""
+    spec = lookup(name, dims)
+    rng = np.random.default_rng(seed)
+    population = make_population(rng.uniform(spec.lower, spec.upper, (particles, dims)))
+    gbest = rng.uniform(spec.lower, spec.upper, dims)
+    cols = np.asarray(cols, dtype=np.intp)
+    values = population.positions[:, cols]
+    expected = full_context_fitness(spec, cols, values, gbest)
+    # A -inf global best is never improved, so the snapshot stays fixed.
+    context = ContextState(gbest_position=gbest.copy(), gbest_fitness=-np.inf)
+    fitness, _ = evaluate_swarm(cols, population, context, spec)
+    assert fitness.tobytes() == expected.tobytes()
+    if spec.has_terms:
+        assert spec.context_fitness(cols, values, gbest).tobytes() == expected.tobytes()
+
+
+@settings(deadline=None, max_examples=200)
+@given(name=st.sampled_from(sorted(FUNCTIONS)), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_context_fitness_is_bitwise_the_full_evaluation(name, data, seed):
+    dims = data.draw(st.integers(2, 64), label="dims")
+    cols = data.draw(
+        st.lists(st.integers(0, dims - 1), min_size=1, max_size=dims, unique=True), label="cols"
+    )
+    assert_context_fitness_exact(name, dims, cols, seed)
+
+
+@pytest.mark.parametrize("name", sorted(FUNCTIONS))
+@pytest.mark.parametrize("dims", [2, 3, 17, 64])
+def test_context_fitness_exact_for_one_column_and_full_cover(name, dims):
+    for cols in ([0], [dims - 1], np.arange(dims), np.arange(dims)[::-1]):
+        assert_context_fitness_exact(name, dims, cols, seed=dims)
+
+
+@pytest.mark.parametrize("name", sorted(FUNCTIONS))
+def test_context_fitness_exact_at_d1000(name):
+    cols = np.flatnonzero(np.random.default_rng(3).integers(0, 5, 1000) == 2)
+    assert_context_fitness_exact(name, 1000, cols, seed=4, particles=50)
+
+
+@pytest.mark.parametrize("name", sorted(FUNCTIONS))
+def test_context_fitness_non_finite_parity(name):
+    spec = lookup(name, 4)
+    cols = np.array([1, 2])
+    values = np.ones((3, 2))
+    gbest = np.full(4, 0.5)
+
+    def both_raise(values, gbest):
+        population = make_population(np.tile(gbest, (len(values), 1)))
+        population.positions[:, cols] = values
+        context = ContextState(gbest_position=gbest.copy(), gbest_fitness=np.inf)
+        with pytest.raises(ValueError, match="non-finite"):
+            full_context_fitness(spec, cols, values, gbest)
+        with pytest.raises(ValueError, match="non-finite"):
+            evaluate_swarm(cols, population, context, spec)
+
+    for bad in (np.nan, np.inf, -np.inf):
+        in_values = values.copy()
+        in_values[1, 0] = bad
+        both_raise(in_values, gbest)
+        outside = gbest.copy()
+        outside[3] = bad
+        both_raise(values, outside)
+        # a non-finite global-best entry on the swarm's columns is replaced
+        inside = gbest.copy()
+        inside[2] = bad
+        expected = full_context_fitness(spec, cols, values, inside)
+        population = make_population(np.tile(np.full(4, 0.5), (3, 1)))
+        population.positions[:, cols] = values
+        context = ContextState(gbest_position=inside, gbest_fitness=-np.inf)
+        fitness, _ = evaluate_swarm(cols, population, context, spec)
+        assert fitness.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(FUNCTIONS))
+def test_evaluate_swarm_rejects_bad_dimensions(name):
+    spec = lookup(name, 3)
+    population = make_population(np.zeros((2, 3)))
+    context = ContextState(gbest_position=np.zeros(3), gbest_fitness=np.inf)
+    with pytest.raises(ValueError, match="non-empty"):
+        evaluate_swarm(np.array([], dtype=int), population, context, spec)
+    with pytest.raises(ValueError, match="out of range"):
+        evaluate_swarm(np.array([-1]), population, context, spec)
 
 
 # -------------------------------------------------------------- reinforcement

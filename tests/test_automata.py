@@ -39,6 +39,15 @@ def test_invalid_construction_rejected(r, a, b):
         LearningAutomaton(r, a, b)
 
 
+@pytest.mark.parametrize("a, b, message", [
+    (-0.1, 0.1, "<la-reward> must be >= 0 and <= 1, got -0.1"),
+    (0.1, 1.5, "<la-penalty> must be >= 0 and <= 1, got 1.5"),
+])
+def test_invalid_rates_name_their_tag(a, b, message):
+    with pytest.raises(ConfigError, match=message):
+        AutomatonBank(3, 2, a, b)
+
+
 # ---------------------------------------------------------------- selection
 
 def test_degenerate_distribution_always_selected():

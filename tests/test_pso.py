@@ -1,6 +1,8 @@
 """Baseline swarm optimizer: schedules, update rules, and full runs."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aiopt import ConfigError, PsoParams, lookup, run_pso
 from aiopt.pso import (
@@ -20,7 +22,10 @@ class ConstantRng:
     def __init__(self, value):
         self.value = value
 
-    def random(self, shape=None):
+    def random(self, shape=None, out=None):
+        if out is not None:
+            out[...] = self.value
+            return out
         return self.value if shape is None else np.full(shape, self.value)
 
 
@@ -156,6 +161,55 @@ def test_velocity_decays_geometrically_without_attraction():
     assert peak < 1e-6
 
 
+def reference_velocities(x, v, pbest, gbest, w, c1, c2, v_max, rng):
+    """The velocity update as one array expression, both factors drawn first."""
+    r1 = rng.random(x.shape)
+    r2 = rng.random(x.shape)
+    new_v = w * v + c1 * r1 * (pbest - x) + c2 * r2 * (gbest - x)
+    np.clip(new_v, -v_max, v_max, out=new_v)
+    return new_v
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+    w=st.floats(0.0, 1.2),
+    c1=st.floats(0.01, 4.0),
+    c2=st.floats(0.01, 4.0),
+    v_max=st.floats(0.01, 50.0),
+    broadcast_gbest=st.booleans(),
+    own_buffers=st.booleans(),
+)
+def test_in_place_velocities_bit_equal_the_expression(
+    seed, shape, w, c1, c2, v_max, broadcast_gbest, own_buffers
+):
+    data = np.random.default_rng(seed)
+    x = data.uniform(-10, 10, shape)
+    v = data.uniform(-20, 20, shape)
+    pbest = data.uniform(-10, 10, shape)
+    gbest = data.uniform(-10, 10, shape[-1:] if broadcast_gbest else shape)
+    mirror = np.random.default_rng(seed + 1)
+    expected = reference_velocities(x, v.copy(), pbest, gbest, w, c1, c2, v_max, mirror)
+
+    rng = np.random.default_rng(seed + 1)
+    buffers = (np.empty(shape), np.empty(shape)) if own_buffers else None
+    result = update_velocities(x, v, pbest, gbest, w, c1, c2, v_max, rng, buffers)
+    assert result is v
+    assert v.tobytes() == expected.tobytes()
+    # both factors came from the stream in the same order
+    assert rng.random() == mirror.random()
+
+
+def test_position_update_is_in_place():
+    x = np.array([[99.0, 0.0], [-1.0, 2.0]])
+    v = np.array([[5.0, 1.0], [0.5, -0.5]])
+    expected = np.clip(x + v, -100.0, 100.0)
+    result = update_positions(x, v, -100.0, 100.0)
+    assert result is x
+    np.testing.assert_array_equal(x, expected)
+
+
 # ------------------------------------------------------------ initialization
 
 def test_init_population_containment_and_memory():
@@ -186,6 +240,11 @@ def test_init_population_picks_best_particle():
 
 def test_init_population_rejects_tiny_swarm():
     with pytest.raises(ConfigError):
+        init_population(lookup("sphere", 2), 1, np.random.default_rng(0))
+
+
+def test_init_population_error_names_the_tag():
+    with pytest.raises(ConfigError, match="<population-size> must be >= 2, got 1"):
         init_population(lookup("sphere", 2), 1, np.random.default_rng(0))
 
 
@@ -244,6 +303,29 @@ def test_step_deterministic_from_identical_state():
     second_positions, second_fitness = one_step()
     np.testing.assert_array_equal(first_positions, second_positions)
     assert first_fitness == second_fitness
+
+
+def test_step_moves_the_population_in_place():
+    spec = lookup("rastrigin", 6)
+    params = PsoParams(population_size=8, max_iterations=5)
+    rng = np.random.default_rng(4)
+    population, gbest = init_population(spec, 8, rng)
+    positions, velocities = population.positions, population.velocities
+    for i in range(5):
+        before = positions.copy()
+        gbest = pso_step(population, gbest, spec, params, i, rng)
+        assert population.positions is positions
+        assert population.velocities is velocities
+        assert not np.array_equal(positions, before)
+    draw, diff = population.step_buffers(spec.dims)
+    pso_step(population, gbest, spec, params, 5, rng)
+    again = population.step_buffers(spec.dims)
+    assert np.shares_memory(draw, again[0]) and np.shares_memory(diff, again[1])
+    assert not np.shares_memory(draw, diff)
+    # a column subset gets contiguous views of the same memory
+    subset = population.step_buffers(3)
+    assert subset[0].shape == (8, 3) and subset[0].flags.c_contiguous
+    assert np.shares_memory(subset[0], draw)
 
 
 # -------------------------------------------------------------------- runs

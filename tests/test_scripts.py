@@ -23,9 +23,38 @@ def test_compare_optimizers_prints_a_row_per_algorithm(capsys):
     assert ["rastrigin", "aio"] in [row[:2] for row in rows]
 
 
+def test_compare_optimizers_reports_bad_settings(capsys):
+    main = script_main("compare_optimizers.py")
+    # Four dimensions cannot hold the default five swarms.
+    assert main(["--dims", "4", "--iterations", "2", "--runs", "1",
+                 "--population-size", "4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: <tdr-factor> must be <= <dimensions>, got 5 > 4\n"
+    assert captured.out == ""
+
+
 def test_sweep_swarm_count_prints_a_row_per_count(capsys):
     main = script_main("sweep_swarm_count.py")
     assert main(["--dims", "4", "--iterations", "5", "--runs", "1", "--counts", "1", "2"]) == 0
     firsts = [row[0] for row in table_rows(capsys.readouterr().out) if row]
     assert "1" in firsts
     assert "2" in firsts
+
+
+def test_bench_ab_summary_counts_pairs_and_applies_the_bound():
+    summarize = runpy.run_path(str(SCRIPTS / "bench_ab.py"))["summarize"]
+
+    def runs(pairs):
+        return [{"metrics": {"iters_per_s": rate, "setup_s": setup}} for rate, setup in pairs]
+
+    gates = [{"name": "iters_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+             {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25}]
+    out = summarize({"parent": runs([(10, 1.0), (12, 1.0), (11, 1.0)]),
+                     "change": runs([(20, 1.3), (9, 1.3), (21, 1.3)])}, gates)
+    rate, setup = out["iters_per_s"], out["setup_s"]
+    assert (rate["parent"]["median"], rate["change"]["median"]) == (11, 20)
+    assert rate["pairs_won_by_change"] == "2/3"
+    assert rate["within_bound"]
+    # 30% slower than the parent, beyond the 25% bound
+    assert setup["pairs_won_by_change"] == "0/3"
+    assert not setup["within_bound"]
