@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -148,7 +149,7 @@ def select_memberships(
         assignment = np.zeros(dimension_count, dtype=np.intp)
     else:
         assignment = dimension_automata.select(rng)
-    members = [np.flatnonzero(assignment == j) for j in range(swarm_count)]
+    members = [(assignment == j).nonzero()[0] for j in range(swarm_count)]
     return SwarmPartition(assignment=assignment, members=members)
 
 
@@ -166,6 +167,14 @@ def _checked_dims(swarm_dims: np.ndarray, dims: int) -> np.ndarray:
     return swarm_dims
 
 
+def _context_rows(swarm_dims: np.ndarray, values: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """``base`` once per row of ``values``, with columns ``swarm_dims`` set to that row."""
+    rows = np.empty(values.shape[:-1] + base.shape)
+    rows[...] = base
+    rows[..., swarm_dims] = values
+    return rows
+
+
 def context_vector(
     swarm_dims: np.ndarray, particle_values: np.ndarray, gbest_position: np.ndarray
 ) -> np.ndarray:
@@ -175,54 +184,86 @@ def context_vector(
     2-D batch of them with one row per particle, which gives one context
     row per particle.
     """
+    gbest_position = np.asarray(gbest_position, dtype=np.float64)
     swarm_dims = _checked_dims(swarm_dims, len(gbest_position))
-    result = np.tile(gbest_position, np.shape(particle_values)[:-1] + (1,))
-    result[..., swarm_dims] = particle_values
-    return result
+    return _context_rows(swarm_dims, np.asarray(particle_values), gbest_position)
 
 
-def evaluate_swarm(
-    swarm_dims: np.ndarray,
-    population: Population,
-    context: ContextState,
-    spec: BenchmarkSpec,
-):
-    """Context-evaluate every particle of a swarm's chosen population.
+@dataclass
+class Swarm:
+    """One swarm's columns of its chosen population, copied once per step.
+
+    ``positions``, ``velocities`` and ``pbest_positions`` are copies of the
+    population's ``dims`` columns, in the order of ``dims``, each made on
+    its first use.  ``evaluate_swarm`` reads the positions and updates the
+    personal bests on the copies; ``rank_and_concentrate`` moves positions
+    and velocities and then calls ``store``, which writes back what
+    changed.  Raises ``ValueError`` if ``dims`` is empty or out of range.
+    """
+
+    population: Population
+    dims: np.ndarray
+    pbest_changed: bool = False
+
+    def __post_init__(self):
+        self.dims = _checked_dims(self.dims, self.population.positions.shape[1])
+
+    @cached_property
+    def positions(self) -> np.ndarray:
+        return self.population.positions.take(self.dims, axis=1)
+
+    @cached_property
+    def velocities(self) -> np.ndarray:
+        return self.population.velocities.take(self.dims, axis=1)
+
+    @cached_property
+    def pbest_positions(self) -> np.ndarray:
+        return self.population.pbest_positions.take(self.dims, axis=1)
+
+    def store(self) -> None:
+        """Write the swarm's positions and velocities, and its personal bests
+        if they changed, back into the population."""
+        population, dims = self.population, self.dims
+        population.positions[:, dims] = self.positions
+        population.velocities[:, dims] = self.velocities
+        if self.pbest_changed:
+            population.pbest_positions[:, dims] = self.pbest_positions
+
+
+def evaluate_swarm(swarm: Swarm, context: ContextState, spec: BenchmarkSpec):
+    """Context-evaluate every particle of a swarm.
 
     Objectives with per-column terms score the context rows from the
     swarm's columns (``BenchmarkSpec.context_fitness``); rosenbrock, whose
     terms couple neighbouring columns, evaluates the full context rows.
     Either way the fitness has the bits of ``evaluate`` on the full rows.
 
-    Personal bests take the swarm-dimension values and the new fitness on
-    strict improvement.  After all particles are scored against the same
+    Personal bests take the swarm-dimension values (on the swarm's copy,
+    which ``Swarm.store`` writes back) and the new fitness on strict
+    improvement.  After all particles are scored against the same
     global-best snapshot, the single best one is merged into the global
     best if it strictly improves it.  Returns the per-particle context
     fitness and whether the global best improved.
     """
-    gbest = context.gbest_position
-    values = population.positions[:, swarm_dims]
+    dims, values, gbest = swarm.dims, swarm.positions, context.gbest_position
     if spec.has_terms:
-        fitness = spec.context_fitness(_checked_dims(swarm_dims, len(gbest)), values, gbest)
+        fitness = spec.context_fitness(dims, values, gbest)
     else:
-        fitness = spec.evaluate(context_vector(swarm_dims, values, gbest))
-    fitness = np.asarray(fitness, dtype=np.float64)
+        fitness = spec.evaluate(_context_rows(dims, values, gbest))
 
-    improved = fitness < population.pbest_fitness
+    pbest_fitness = swarm.population.pbest_fitness
+    improved = fitness < pbest_fitness
     if improved.any():
-        rows = np.flatnonzero(improved)
-        # fancy indexing yields copies; assign through np.ix_ to write back
-        population.pbest_positions[np.ix_(rows, swarm_dims)] = population.positions[
-            np.ix_(rows, swarm_dims)
-        ]
-        population.pbest_fitness[rows] = fitness[rows]
+        swarm.pbest_positions[improved] = values[improved]
+        pbest_fitness[improved] = fitness[improved]
+        swarm.pbest_changed = True
 
-    best = int(np.argmin(fitness))
-    improved_gbest = bool(fitness[best] < context.gbest_fitness)
-    if improved_gbest:
-        context.gbest_position[swarm_dims] = population.positions[best, swarm_dims]
+    best = fitness.argmin()
+    if fitness[best] < context.gbest_fitness:
+        gbest[dims] = values[best]
         context.gbest_fitness = float(fitness[best])
-    return fitness, improved_gbest
+        return fitness, True
+    return fitness, False
 
 
 def reinforce_layers(
@@ -247,8 +288,7 @@ def reinforce_layers(
 
 
 def rank_and_concentrate(
-    swarm_dims: np.ndarray,
-    population: Population,
+    swarm: Swarm,
     fitness: np.ndarray,
     gbest_position: np.ndarray,
     spec: BenchmarkSpec,
@@ -262,30 +302,28 @@ def rank_and_concentrate(
     to the swarm's dimensions.  Particles ranked below the elite cut
     (by context fitness, ascending) then have each swarm dimension
     resampled uniformly at ``mutation_rate``, with the velocity on
-    resampled dimensions reset to zero.
+    resampled dimensions reset to zero.  Ends by writing the swarm back
+    into its population (``Swarm.store``).
     """
     pso_p = params.pso
-    positions = population.positions[:, swarm_dims]
-    velocities = population.velocities[:, swarm_dims]
-    pbest = population.pbest_positions[:, swarm_dims]
-    gbest = gbest_position[swarm_dims]
-
-    velocities = update_velocities(
-        positions, velocities, pbest, gbest, w, pso_p.c1, pso_p.c2, spec.upper - spec.lower, rng,
-        population.step_buffers(swarm_dims.size),
+    positions, velocities = swarm.positions, swarm.velocities
+    update_velocities(
+        positions, velocities, swarm.pbest_positions, gbest_position[swarm.dims], w,
+        pso_p.c1, pso_p.c2, spec.upper - spec.lower, rng,
+        swarm.population.step_buffers(swarm.dims.size),
     )
-    positions = update_positions(positions, velocities, spec.lower, spec.upper)
+    update_positions(positions, velocities, spec.lower, spec.upper)
 
-    order = np.argsort(fitness, kind="stable")
-    non_elite = order[elite_count(params.elite_factor, population.size):]
+    elite = elite_count(params.elite_factor, swarm.population.size)
+    non_elite = fitness.argsort(kind="stable")[elite:]
     if non_elite.size > 0 and params.mutation_rate > 0.0:
-        mutate = rng.random((non_elite.size, swarm_dims.size)) < params.mutation_rate
-        fresh = rng.uniform(spec.lower, spec.upper, size=(non_elite.size, swarm_dims.size))
-        positions[non_elite] = np.where(mutate, fresh, positions[non_elite])
-        velocities[non_elite] = np.where(mutate, 0.0, velocities[non_elite])
-
-    population.positions[:, swarm_dims] = positions
-    population.velocities[:, swarm_dims] = velocities
+        mutate = rng.random((non_elite.size, swarm.dims.size)) < params.mutation_rate
+        fresh = rng.uniform(spec.lower, spec.upper, size=mutate.shape)
+        rows, cols = mutate.nonzero()
+        hit = non_elite[rows], cols
+        positions[hit] = fresh[rows, cols]
+        velocities[hit] = 0.0
+    swarm.store()
 
 
 def choose_cycle(context: ContextState) -> str:
@@ -303,9 +341,12 @@ def aio_step(
     """One full iteration over all swarms; returns the global best fitness.
 
     Phase order: membership selection, population selection, cycle
-    choice, per-swarm context evaluation (ascending swarm index, so
-    global-best writes are deterministic), automata reinforcement,
-    per-swarm concentration, guard update.
+    choice, one pass over the non-empty swarms in ascending index, then
+    automata reinforcement and the guard update.  The pass copies each
+    swarm's columns once, context-evaluates them and moves them at once.
+    That gives the bits of evaluating every swarm before moving any:
+    evaluation draws no random numbers, and each swarm owns its columns,
+    so scoring a swarm reads nothing that moving an earlier swarm wrote.
     """
     k = params.swarm_count
     partition = select_memberships(state.dimension_automata, k, spec.dims, rng)
@@ -313,33 +354,15 @@ def aio_step(
     w = inertia_weight(choose_cycle(state.context), iteration, params.pso)
 
     improvements = np.zeros(k, dtype=bool)
-    swarm_fitness: list[np.ndarray | None] = [None] * k
     for j in range(k):
         dims = partition.members[j]
         if dims.size == 0:
             continue
-        population = state.population(partition.population_choice[j])
-        swarm_fitness[j], improvements[j] = evaluate_swarm(
-            dims, population, state.context, spec
-        )
+        swarm = Swarm(state.population(partition.population_choice[j]), dims)
+        fitness, improvements[j] = evaluate_swarm(swarm, state.context, spec)
+        rank_and_concentrate(swarm, fitness, state.context.gbest_position, spec, params, w, rng)
 
     reinforce_layers(partition, improvements, state.dimension_automata, state.swarm_automata)
-
-    for j in range(k):
-        dims = partition.members[j]
-        if dims.size == 0:
-            continue
-        population = state.population(partition.population_choice[j])
-        rank_and_concentrate(
-            dims,
-            population,
-            swarm_fitness[j],
-            state.context.gbest_position,
-            spec,
-            params,
-            w,
-            rng,
-        )
 
     state.context.improved_last_iteration = bool(improvements.any())
     return state.context.gbest_fitness

@@ -23,7 +23,7 @@ def _as_points(x, min_dims: int = 1) -> np.ndarray:
         raise ValueError(f"expected a vector or batch of vectors, got ndim={x.ndim}")
     if x.shape[-1] < min_dims:
         raise ValueError(f"input needs at least {min_dims} dimension(s), got {x.shape[-1]}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("input contains non-finite entries")
     return x
 
@@ -52,7 +52,7 @@ def _sphere_terms(x, index):
 
 
 def _sphere_reduce(terms, n):
-    return np.sum(terms[0], axis=-1)
+    return terms[0].sum(axis=-1)
 
 
 def _ackley_terms(x, index):
@@ -60,8 +60,8 @@ def _ackley_terms(x, index):
 
 
 def _ackley_reduce(terms, n):
-    radial = -20.0 * np.exp(-0.2 * np.sqrt(np.mean(terms[0], axis=-1)))
-    cosine = -np.exp(np.mean(terms[1], axis=-1))
+    radial = -20.0 * np.exp(-0.2 * np.sqrt(terms[0].mean(axis=-1)))
+    cosine = -np.exp(terms[1].mean(axis=-1))
     return radial + cosine + 20.0 + np.e
 
 
@@ -71,8 +71,8 @@ def _griewank_terms(x, index):
 
 
 def _griewank_reduce(terms, n):
-    quad = np.sum(terms[0], axis=-1) / 4000.0
-    return quad - np.prod(terms[1], axis=-1) + 1.0
+    quad = terms[0].sum(axis=-1) / 4000.0
+    return quad - terms[1].prod(axis=-1) + 1.0
 
 
 def _rastrigin_terms(x, index):
@@ -84,7 +84,7 @@ def _rastrigin_terms(x, index):
 
 
 def _rastrigin_reduce(terms, n):
-    return 10.0 * n + np.sum(terms[0], axis=-1)
+    return 10.0 * n + terms[0].sum(axis=-1)
 
 
 TERMS = {
@@ -116,7 +116,15 @@ def rosenbrock(x) -> float | np.ndarray:
     """Banana-valley function, minimum 0 at all-ones; needs length >= 2."""
     x = _as_points(x, min_dims=2)
     head, tail = x[..., :-1], x[..., 1:]
-    return _scalarize(x, np.sum(100.0 * (tail - head**2) ** 2 + (head - 1.0) ** 2, axis=-1))
+    # 100.0 * (tail - head**2) ** 2 + (head - 1.0) ** 2, one ufunc at a
+    # time in that order into two buffers
+    valley = np.square(head)
+    np.subtract(tail, valley, out=valley)
+    np.square(valley, out=valley)
+    np.multiply(100.0, valley, out=valley)
+    offset = np.subtract(head, 1.0)
+    np.square(offset, out=offset)
+    return _scalarize(x, np.add(valley, offset, out=valley).sum(axis=-1))
 
 
 def ackley(x) -> float | np.ndarray:
@@ -196,7 +204,8 @@ class BenchmarkSpec:
         index = _index(n)
         matrices = []
         for row, part in zip(terms(base, index), terms(values, index[swarm_dims])):
-            matrix = np.tile(row, (len(values), 1))
+            matrix = np.empty((len(values), n))
+            matrix[:] = row
             matrix[:, swarm_dims] = part
             matrices.append(matrix)
         return reduce(matrices, n)

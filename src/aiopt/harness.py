@@ -1,12 +1,13 @@
 """Experiment driver: seeded runs, aggregation, CSV convergence output."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .aio import AioParams, run_aio, swarm_count_rule
-from .benchmarks import lookup, lookup_rules
+from .benchmarks import DOMAINS, lookup, lookup_rules
 from .errors import check
 from .pso import PsoParams, RunTrace, run_pso
 
@@ -33,7 +34,22 @@ class ExperimentConfig:
             (self.runs >= 1, f"<runs> must be >= 1, got {self.runs}"),
             (self.base_seed >= 0, f"<seed> must be >= 0, got {self.base_seed}"),
             *lookup_rules(self.benchmark, self.dims),
+            *self._velocity_rules(),
         ]
+
+    def _velocity_rules(self) -> list[tuple[bool, str]]:
+        """Each term of the velocity update, ``w*v``, ``c1*r1*(pbest - x)``
+        and ``c2*r2*(gbest - x)``, is at most its constant times the box
+        width, so their sum must stay finite in float64."""
+        if self.benchmark not in DOMAINS:
+            return []
+        lower, upper = DOMAINS[self.benchmark]
+        params = self.pso_params if self.algorithm == "pso" else self.aio_params.pso
+        w = max(params.w_fixed, params.w_max)
+        bound = (w + params.c1 + params.c2) * (upper - lower)
+        return [(math.isfinite(bound),
+                 f"(max(<w>, <w-max>) + <c1> + <c2>) * (upper - lower) must be finite, got "
+                 f"({w} + {params.c1} + {params.c2}) * ({upper} - {lower})")]
 
     def __post_init__(self):
         check(*self._rules())

@@ -79,8 +79,7 @@ class Population:
         Views into one buffer that lives as long as the population, so
         neither the full step nor a step on a column subset allocates them.
         """
-        count = self.size * columns
-        draw, diff = (work[:count].reshape(self.size, columns) for work in self._work)
+        draw, diff = self._work[:, : self.size * columns].reshape(2, self.size, columns)
         return draw, diff
 
 
@@ -149,10 +148,11 @@ def update_velocities(
 
     Computes ``w*v + c1*r1*(pbest - x) + c2*r2*(gbest - x)`` one operation
     at a time in that order, so the result has the expression's bits, then
-    clamps it to v_max.  ``r1`` and then ``r2`` are drawn into the first of
-    ``buffers``, two float64 work arrays shaped like ``positions`` (fresh
-    ones when omitted); the second holds the differences.  Returns
-    ``velocities``.
+    clamps it to v_max with the ``maximum`` and ``minimum`` ufuncs, which
+    give ``np.clip``'s bits for bounds that are not zero.  ``r1`` and then
+    ``r2`` are drawn into the first of ``buffers``, two float64 work arrays
+    shaped like ``positions`` (fresh ones when omitted); the second holds
+    the differences.  Returns ``velocities``.
     """
     draw, diff = buffers if buffers is not None else (
         np.empty(positions.shape), np.empty(positions.shape)
@@ -163,7 +163,8 @@ def update_velocities(
         np.multiply(c, draw, out=draw)
         np.multiply(draw, np.subtract(best, positions, out=diff), out=draw)
         np.add(velocities, draw, out=velocities)
-    np.clip(velocities, -v_max, v_max, out=velocities)
+    np.maximum(velocities, -v_max, out=velocities)
+    np.minimum(velocities, v_max, out=velocities)
     return velocities
 
 
@@ -172,14 +173,15 @@ def update_positions(
 ) -> np.ndarray:
     """Move ``positions`` in place by the new velocities; returns ``positions``.
 
-    Components that leave the box are clamped to it, and their entries of
-    ``velocities`` are set to zero in place.
+    Components that leave the box are clamped to it (as ``update_velocities``
+    clamps), and their entries of ``velocities`` are set to zero in place.
     """
     np.add(positions, velocities, out=positions)
     out_of_box = (positions < lower) | (positions > upper)
     if out_of_box.any():
         velocities[out_of_box] = 0.0
-        np.clip(positions, lower, upper, out=positions)
+        np.maximum(positions, lower, out=positions)
+        np.minimum(positions, upper, out=positions)
     return positions
 
 
@@ -201,7 +203,7 @@ def pso_step(
     if improved.any():
         population.pbest_positions[improved] = population.positions[improved]
         population.pbest_fitness[improved] = fitness[improved]
-    best = int(np.argmin(population.pbest_fitness))
+    best = population.pbest_fitness.argmin()
     if population.pbest_fitness[best] < gbest.fitness:
         gbest = SwarmBest(
             position=population.pbest_positions[best].copy(),

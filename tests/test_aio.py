@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import aiopt.aio as aio
 from aiopt import AioParams, ConfigError, PsoParams, aio_step, init_aio_state, lookup, run_aio
 from aiopt.aio import (
     POP_A,
     POP_B,
     ContextState,
+    Swarm,
     SwarmPartition,
     choose_cycle,
     context_vector,
@@ -22,7 +24,14 @@ from aiopt.aio import (
 )
 from aiopt.automata import AutomatonBank
 from aiopt.benchmarks import FUNCTIONS
-from aiopt.pso import Population, init_population, pso_step, update_positions, update_velocities
+from aiopt.pso import (
+    Population,
+    inertia_weight,
+    init_population,
+    pso_step,
+    update_positions,
+    update_velocities,
+)
 
 
 def force(automaton, probabilities):
@@ -46,6 +55,19 @@ def make_population(positions, fitness=None):
         pbest_positions=positions.copy(),
         pbest_fitness=np.asarray(fitness, dtype=np.float64),
     )
+
+
+def evaluate(dims, population, context, spec):
+    """``evaluate_swarm`` on the columns ``dims`` of ``population``, written back."""
+    swarm = Swarm(population, dims)
+    result = evaluate_swarm(swarm, context, spec)
+    swarm.store()
+    return result
+
+
+def concentrate(dims, population, fitness, gbest, spec, params, w, rng):
+    """``rank_and_concentrate`` on the columns ``dims`` of ``population``."""
+    rank_and_concentrate(Swarm(population, dims), fitness, gbest, spec, params, w, rng)
 
 
 # ------------------------------------------------------------------- params
@@ -204,7 +226,7 @@ def test_evaluate_full_cover_particle_at_optimum():
     spec = lookup("sphere", 3)
     population = make_population([[0.0, 0.0, 0.0]])
     context = ContextState(gbest_position=np.full(3, 5.0), gbest_fitness=75.0)
-    fitness, improved = evaluate_swarm(np.arange(3), population, context, spec)
+    fitness, improved = evaluate(np.arange(3), population, context, spec)
     assert fitness[0] == 0.0
     assert improved is True
     assert context.gbest_fitness == 0.0
@@ -218,7 +240,7 @@ def test_evaluate_no_improvement_when_swarm_matches_gbest():
     population = make_population(positions)
     context = ContextState(gbest_position=gbest.copy(),
                            gbest_fitness=float(spec.evaluate(gbest)))
-    _, improved = evaluate_swarm(np.array([0, 1]), population, context, spec)
+    _, improved = evaluate(np.array([0, 1]), population, context, spec)
     assert improved is False
     np.testing.assert_array_equal(context.gbest_position, gbest)
 
@@ -234,7 +256,7 @@ def test_evaluate_improvement_flag_implies_strict_decrease():
     for _ in range(20):
         before = context.gbest_fitness
         dims = np.sort(rng.choice(4, size=2, replace=False))
-        _, improved = evaluate_swarm(dims, population, context, spec)
+        _, improved = evaluate(dims, population, context, spec)
         if improved:
             assert context.gbest_fitness < before
         else:
@@ -249,7 +271,7 @@ def test_evaluate_updates_pbest_on_swarm_dims_only():
     population = make_population(positions, fitness=[np.inf])
     population.pbest_positions[:] = [[7.0, 7.0, 7.0]]
     context = ContextState(gbest_position=np.zeros(3), gbest_fitness=0.0)
-    evaluate_swarm(np.array([1]), population, context, spec)
+    evaluate(np.array([1]), population, context, spec)
     # dim 1 takes the particle value, untouched dims keep the old memory
     np.testing.assert_array_equal(population.pbest_positions, [[7.0, 1.0, 7.0]])
     assert population.pbest_fitness[0] == 1.0
@@ -272,7 +294,7 @@ def assert_context_fitness_exact(name, dims, cols, seed, particles=7):
     expected = full_context_fitness(spec, cols, values, gbest)
     # A -inf global best is never improved, so the snapshot stays fixed.
     context = ContextState(gbest_position=gbest.copy(), gbest_fitness=-np.inf)
-    fitness, _ = evaluate_swarm(cols, population, context, spec)
+    fitness, _ = evaluate(cols, population, context, spec)
     assert fitness.tobytes() == expected.tobytes()
     if spec.has_terms:
         assert spec.context_fitness(cols, values, gbest).tobytes() == expected.tobytes()
@@ -315,7 +337,7 @@ def test_context_fitness_non_finite_parity(name):
         with pytest.raises(ValueError, match="non-finite"):
             full_context_fitness(spec, cols, values, gbest)
         with pytest.raises(ValueError, match="non-finite"):
-            evaluate_swarm(cols, population, context, spec)
+            evaluate(cols, population, context, spec)
 
     for bad in (np.nan, np.inf, -np.inf):
         in_values = values.copy()
@@ -331,7 +353,7 @@ def test_context_fitness_non_finite_parity(name):
         population = make_population(np.tile(np.full(4, 0.5), (3, 1)))
         population.positions[:, cols] = values
         context = ContextState(gbest_position=inside, gbest_fitness=-np.inf)
-        fitness, _ = evaluate_swarm(cols, population, context, spec)
+        fitness, _ = evaluate(cols, population, context, spec)
         assert fitness.tobytes() == expected.tobytes()
 
 
@@ -341,9 +363,9 @@ def test_evaluate_swarm_rejects_bad_dimensions(name):
     population = make_population(np.zeros((2, 3)))
     context = ContextState(gbest_position=np.zeros(3), gbest_fitness=np.inf)
     with pytest.raises(ValueError, match="non-empty"):
-        evaluate_swarm(np.array([], dtype=int), population, context, spec)
+        evaluate(np.array([], dtype=int), population, context, spec)
     with pytest.raises(ValueError, match="out of range"):
-        evaluate_swarm(np.array([-1]), population, context, spec)
+        evaluate(np.array([-1]), population, context, spec)
 
 
 # -------------------------------------------------------------- reinforcement
@@ -425,8 +447,8 @@ def test_zero_mutation_rate_is_a_plain_swarm_move():
 
     swarm_dims = np.array([1, 3])
     params = AioParams(swarm_count=2, elite_factor=0.5, mutation_rate=0.0)
-    rank_and_concentrate(swarm_dims, population, fitness, gbest, spec, params,
-                         w=0.7, rng=np.random.default_rng(99))
+    concentrate(swarm_dims, population, fitness, gbest, spec, params,
+                w=0.7, rng=np.random.default_rng(99))
 
     mirror = np.random.default_rng(99)
     pos = reference.positions[:, swarm_dims]
@@ -453,10 +475,10 @@ def test_full_elite_set_never_mutates():
     dims = np.arange(4)
     high = AioParams(swarm_count=2, elite_factor=1.0, mutation_rate=0.9)
     none = AioParams(swarm_count=2, elite_factor=1.0, mutation_rate=0.0)
-    rank_and_concentrate(dims, population, fitness, gbest, spec, high,
-                         w=0.5, rng=np.random.default_rng(7))
-    rank_and_concentrate(dims, twin, fitness, gbest, spec, none,
-                         w=0.5, rng=np.random.default_rng(7))
+    concentrate(dims, population, fitness, gbest, spec, high,
+                w=0.5, rng=np.random.default_rng(7))
+    concentrate(dims, twin, fitness, gbest, spec, none,
+                w=0.5, rng=np.random.default_rng(7))
     np.testing.assert_array_equal(population.positions, twin.positions)
     np.testing.assert_array_equal(population.velocities, twin.velocities)
 
@@ -465,8 +487,8 @@ def test_certain_mutation_resamples_non_elite_in_bounds():
     spec, population, fitness, gbest = _concentrate_args(seed=29, size=12)
     dims = np.array([0, 2])
     params = AioParams(swarm_count=2, elite_factor=1 / 12, mutation_rate=1.0)
-    rank_and_concentrate(dims, population, fitness, gbest, spec, params,
-                         w=0.6, rng=np.random.default_rng(31))
+    concentrate(dims, population, fitness, gbest, spec, params,
+                w=0.6, rng=np.random.default_rng(31))
 
     order = np.argsort(fitness, kind="stable")
     non_elite = order[1:]
@@ -561,6 +583,152 @@ def test_automata_simplices_hold_after_many_steps():
         assert abs(auto.probabilities.sum() - 1.0) <= 1e-9
         assert np.all((auto.probabilities >= 0.0) & (auto.probabilities <= 1.0))
 
+
+
+# -------------------------------------- reference: the two-pass step it replaced
+
+def reference_evaluate(swarm_dims, population, context, spec):
+    """Context evaluation of one swarm straight on the whole population."""
+    gbest = context.gbest_position
+    values = population.positions[:, swarm_dims]
+    if spec.has_terms:
+        fitness = spec.context_fitness(swarm_dims, values, gbest)
+    else:
+        fitness = spec.evaluate(context_vector(swarm_dims, values, gbest))
+    fitness = np.asarray(fitness, dtype=np.float64)
+    improved = fitness < population.pbest_fitness
+    if improved.any():
+        rows = np.flatnonzero(improved)
+        population.pbest_positions[np.ix_(rows, swarm_dims)] = population.positions[
+            np.ix_(rows, swarm_dims)
+        ]
+        population.pbest_fitness[rows] = fitness[rows]
+    best = int(np.argmin(fitness))
+    improved_gbest = bool(fitness[best] < context.gbest_fitness)
+    if improved_gbest:
+        context.gbest_position[swarm_dims] = population.positions[best, swarm_dims]
+        context.gbest_fitness = float(fitness[best])
+    return fitness, improved_gbest
+
+
+def reference_concentrate(swarm_dims, population, fitness, gbest_position, spec, params, w, rng):
+    """Concentration of one swarm through row gathers and ``np.where``."""
+    pso_p = params.pso
+    positions = population.positions[:, swarm_dims]
+    velocities = population.velocities[:, swarm_dims]
+    pbest = population.pbest_positions[:, swarm_dims]
+    velocities = update_velocities(
+        positions, velocities, pbest, gbest_position[swarm_dims], w, pso_p.c1, pso_p.c2,
+        spec.upper - spec.lower, rng,
+    )
+    positions = update_positions(positions, velocities, spec.lower, spec.upper)
+    order = np.argsort(fitness, kind="stable")
+    non_elite = order[elite_count(params.elite_factor, population.size):]
+    if non_elite.size > 0 and params.mutation_rate > 0.0:
+        mutate = rng.random((non_elite.size, swarm_dims.size)) < params.mutation_rate
+        fresh = rng.uniform(spec.lower, spec.upper, size=(non_elite.size, swarm_dims.size))
+        positions[non_elite] = np.where(mutate, fresh, positions[non_elite])
+        velocities[non_elite] = np.where(mutate, 0.0, velocities[non_elite])
+    population.positions[:, swarm_dims] = positions
+    population.velocities[:, swarm_dims] = velocities
+
+
+def reference_step(state, spec, params, iteration, rng):
+    """All evaluations, then reinforcement, then all concentrations."""
+    k = params.swarm_count
+    partition = select_memberships(state.dimension_automata, k, spec.dims, rng)
+    partition.population_choice = select_populations(state.swarm_automata, rng)
+    w = inertia_weight(choose_cycle(state.context), iteration, params.pso)
+    improvements = np.zeros(k, dtype=bool)
+    swarm_fitness = [None] * k
+    for j in range(k):
+        dims = partition.members[j]
+        if dims.size:
+            population = state.population(partition.population_choice[j])
+            swarm_fitness[j], improvements[j] = reference_evaluate(
+                dims, population, state.context, spec
+            )
+    reinforce_layers(partition, improvements, state.dimension_automata, state.swarm_automata)
+    for j in range(k):
+        dims = partition.members[j]
+        if dims.size:
+            population = state.population(partition.population_choice[j])
+            reference_concentrate(dims, population, swarm_fitness[j],
+                                  state.context.gbest_position, spec, params, w, rng)
+    state.context.improved_last_iteration = bool(improvements.any())
+    return state.context.gbest_fitness
+
+
+def state_bytes(state, rng):
+    """Every array and scalar of an optimizer state, plus the stream position."""
+    arrays = [state.context.gbest_position, state.dimension_automata.probabilities,
+              state.swarm_automata.probabilities]
+    for population in (state.pop_a, state.pop_b):
+        arrays += [population.positions, population.velocities,
+                   population.pbest_positions, population.pbest_fitness]
+    return ([a.tobytes() for a in arrays], state.context.gbest_fitness,
+            state.context.improved_last_iteration, rng.bit_generator.state)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    name=st.sampled_from(sorted(FUNCTIONS)),
+    data=st.data(),
+    size=st.integers(2, 12),
+    mutation_rate=st.sampled_from([0.0, 0.05, 0.1, 0.5, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_single_pass_step_equals_the_two_pass_reference(name, data, size, mutation_rate, seed):
+    dims = data.draw(st.integers(2, 40), label="dims")
+    swarms = data.draw(st.integers(1, min(dims, 7)), label="swarms")
+    elite_factor = data.draw(st.sampled_from([1 / size, 0.5, 2 / 3, 1.0]), label="elite_factor")
+    spec = lookup(name, dims)
+    params = AioParams(swarm_count=swarms, elite_factor=elite_factor, mutation_rate=mutation_rate,
+                       pso=PsoParams(population_size=size, max_iterations=20))
+    rng, mirror = np.random.default_rng(seed), np.random.default_rng(seed)
+    state = init_aio_state(spec, params, rng)
+    reference = init_aio_state(spec, params, mirror)
+    for i in range(6):
+        value = aio_step(state, spec, params, i, rng)
+        assert value == reference_step(reference, spec, params, i, mirror)
+        assert state_bytes(state, rng) == state_bytes(reference, mirror)
+
+
+def test_step_calls_each_half_once_per_non_empty_swarm(monkeypatch):
+    """The step reaches its phases through ``aiopt.aio`` attributes, so
+    wrappers put there (as the benchmark's tracer does) see every call."""
+    calls = []
+    partitions = []
+
+    def record(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            result = fn(*args, **kwargs)
+            if name == "select_memberships":
+                partitions.append(result)
+            return result
+        monkeypatch.setattr(aio, name, wrapper)
+
+    for name in ("select_memberships", "evaluate_swarm", "rank_and_concentrate",
+                 "update_velocities", "update_positions"):
+        record(name, getattr(aio, name))
+
+    spec = lookup("rastrigin", 6)
+    params = AioParams(swarm_count=5, pso=PsoParams(population_size=6, max_iterations=12))
+    rng = np.random.default_rng(3)
+    state = init_aio_state(spec, params, rng)
+    for i in range(12):
+        aio_step(state, spec, params, i, rng)
+
+    per_swarm = ["evaluate_swarm", "rank_and_concentrate", "update_velocities",
+                 "update_positions"]
+    expected = []
+    for partition in partitions:
+        active = sum(1 for dims in partition.members if dims.size)
+        expected += ["select_memberships"] + per_swarm * active
+    assert calls == expected
+    # six dimensions over five swarms leave some swarm empty in some step
+    assert any(dims.size == 0 for partition in partitions for dims in partition.members)
 
 # -------------------------------------------------------------------- runs
 

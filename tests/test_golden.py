@@ -54,6 +54,25 @@ AIO_GOLDEN = {
     ("griewank", 9, 3, 0.05, 0.0): "6c9cbd8b4fc0f98351f32e6d990e5c518467536474228d1ebaec98136410ab5b",
 }
 
+# (benchmark, dims, swarm count, mutation rate, elite factor) -> digest, for
+# the branches that draw no mutation numbers: a zero mutation rate, or an
+# elite set that holds every particle.  Both give the same trace.
+AIO_NO_MUTATION_GOLDEN = {
+    ("sphere", 12, 3, 0.0, 2 / 3): "59f4f64e2c658a7120760aa6711a4333a06bfc664e987f529a0b9ef567276caa",
+    ("sphere", 12, 3, 0.1, 1.0): "59f4f64e2c658a7120760aa6711a4333a06bfc664e987f529a0b9ef567276caa",
+    ("rosenbrock", 12, 3, 0.0, 2 / 3): "73f1b51c44edf0f07ea989aa11f4520352f308747f8ec1eebdef78413382fb1d",
+    ("rosenbrock", 12, 3, 0.1, 1.0): "73f1b51c44edf0f07ea989aa11f4520352f308747f8ec1eebdef78413382fb1d",
+    ("ackley", 12, 3, 0.0, 2 / 3): "08e60977324dbced901d94332e53b6e13da8b3ffa728869c3620015a7341c40f",
+    ("ackley", 12, 3, 0.1, 1.0): "08e60977324dbced901d94332e53b6e13da8b3ffa728869c3620015a7341c40f",
+    ("griewank", 12, 3, 0.0, 2 / 3): "44e318212da5a254257e3bf03613657936c875f9e1e4e7d526ec6c6f103060f2",
+    ("griewank", 12, 3, 0.1, 1.0): "44e318212da5a254257e3bf03613657936c875f9e1e4e7d526ec6c6f103060f2",
+    ("rastrigin", 12, 3, 0.0, 2 / 3): "02156c81a63785a3707757f88139bda12137c95efdf01828308ada3bd74772f4",
+    ("rastrigin", 12, 3, 0.1, 1.0): "02156c81a63785a3707757f88139bda12137c95efdf01828308ada3bd74772f4",
+    ("rastrigin", 30, 5, 0.0, 1.0): "f50ca1fe14b70e1ef2bb194ba4b7e562e01217184b4aaf7ce2a3979714a4618d",
+    ("griewank", 4, 4, 0.0, 2 / 3): "e3074cdf2766bf231d3ef3c72ca09bb0f8fb61b03173719671f8129ca1aaaed4",
+    ("ackley", 10, 1, 0.1, 1.0): "12ec69fb7e86b367ddf2669c703aca30835210c371c30763501c964fb134dc9a",
+}
+
 # (benchmark, dims) -> digest, baseline with the default fixed inertia.
 PSO_GOLDEN = {
     ("sphere", 10): "69dc66140d85d6d512b230c9e0f249fce08b3e797c812fef79f344f8b504bc39",
@@ -82,6 +101,12 @@ def aio_digest(name, dims, swarms, reward, penalty) -> str:
     return digest(run_aio(lookup(name, dims), params, SEED).best_fitness)
 
 
+def aio_no_mutation_digest(name, dims, swarms, mutation_rate, elite_factor) -> str:
+    params = AioParams(swarm_count=swarms, mutation_rate=mutation_rate,
+                       elite_factor=elite_factor, pso=pso_params())
+    return digest(run_aio(lookup(name, dims), params, SEED).best_fitness)
+
+
 def pso_digest(name, dims) -> str:
     return digest(run_pso(lookup(name, dims), pso_params(), SEED).best_fitness)
 
@@ -89,6 +114,13 @@ def pso_digest(name, dims) -> str:
 @pytest.mark.parametrize("case", AIO_GOLDEN, ids=lambda c: "-".join(map(str, c)))
 def test_aio_trace_is_golden(case):
     assert aio_digest(*case) == AIO_GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", AIO_NO_MUTATION_GOLDEN,
+                         ids=lambda c: "-".join(f"{v:.3g}" if isinstance(v, float) else str(v)
+                                                for v in c))
+def test_aio_trace_without_mutation_draws_is_golden(case):
+    assert aio_no_mutation_digest(*case) == AIO_NO_MUTATION_GOLDEN[case]
 
 
 @pytest.mark.parametrize("case", PSO_GOLDEN, ids=lambda c: "-".join(map(str, c)))
@@ -99,5 +131,7 @@ def test_pso_trace_is_golden(case):
 if __name__ == "__main__":
     for case in AIO_GOLDEN:
         print(f"    {case}: \"{aio_digest(*case)}\",")
+    for case in AIO_NO_MUTATION_GOLDEN:
+        print(f"    {case}: \"{aio_no_mutation_digest(*case)}\",")
     for case in PSO_GOLDEN:
         print(f"    {case}: \"{pso_digest(*case)}\",")

@@ -1,7 +1,13 @@
 """XML config parsing, experiment driving, aggregation, CSV output, and CLI."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import aiopt
 from aiopt import (
     ConfigError,
     ExperimentConfig,
@@ -123,6 +129,10 @@ def test_full_parameter_document():
         ("<aio><la-reward>1.5</la-reward></aio>", "<la-reward> must be >= 0 and <= 1"),
         ("<aio><la-penalty>-0.1</la-penalty></aio>", "<la-penalty> must be >= 0 and <= 1"),
         ("<aio><c2>0</c2></aio>", "<c2> must be > 0"),
+        ("<aio><benchmark>rastrigin</benchmark><dimensions>10</dimensions>"
+         "<c1>1e308</c1><c2>1e308</c2></aio>", "<c1> + <c2>) * (upper - lower) must be finite"),
+        ("<pso><benchmark>rastrigin</benchmark><dimensions>10</dimensions>"
+         "<c1>1e308</c1><c2>1e308</c2></pso>", "<c1> + <c2>) * (upper - lower) must be finite"),
     ],
 )
 def test_rejected_documents_name_the_problem(document, fragment):
@@ -352,6 +362,29 @@ def test_cli_dimension_override_is_validated(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "<dimensions>" in captured.err
+
+
+@pytest.mark.parametrize("algorithm", ["aio", "pso"])
+def test_cli_rejects_overflowing_constants_before_any_warning(tmp_path, algorithm):
+    """Under ``-W error`` a numpy overflow warning would end the run in a
+    traceback; the config check must stop it first, naming the tags."""
+    config = write_config(
+        tmp_path,
+        f"<{algorithm}><benchmark>rastrigin</benchmark><dimensions>10</dimensions>"
+        f"<runs>1</runs><iterations>5</iterations><c1>1e308</c1><c2>1e308</c2></{algorithm}>",
+    )
+    src = Path(aiopt.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "aiopt", "--config", config,
+         "--out", str(tmp_path / "out.csv")],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "<c1>" in proc.stderr and "<c2>" in proc.stderr
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_cli_requires_config_flag(capsys):

@@ -144,7 +144,8 @@ def test_position_clamped_at_bound_and_velocity_zeroed():
 
 def test_zero_velocity_is_identity():
     x = np.array([[1.0, 2.0]])
-    np.testing.assert_array_equal(update_positions(x, np.zeros_like(x), -5.0, 5.0), x)
+    before = x.copy()
+    np.testing.assert_array_equal(update_positions(x, np.zeros_like(x), -5.0, 5.0), before)
 
 
 def test_velocity_decays_geometrically_without_attraction():
