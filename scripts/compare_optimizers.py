@@ -15,18 +15,13 @@ import sys
 from aiopt import (
     AioParams,
     ConfigError,
+    ExperimentConfig,
     PsoParams,
     aggregate,
-    lookup,
-    run_aio,
-    run_pso,
+    run_experiment,
     write_csv,
 )
-from aiopt.aio import swarm_count_rule
-from aiopt.benchmarks import lookup_rules
-from aiopt.errors import check
-
-BENCHMARKS = ("sphere", "rosenbrock", "ackley", "griewank", "rastrigin")
+from aiopt.benchmarks import FUNCTIONS
 
 
 def parse_args(argv):
@@ -45,46 +40,45 @@ def parse_args(argv):
 
 def main(argv=None):
     args = parse_args(argv)
-    seeds = range(args.seed, args.seed + args.runs)
     try:
-        pso_params = PsoParams(population_size=args.population_size,
-                               max_iterations=args.iterations)
-        aio_params = AioParams(pso=pso_params)
-        check(*lookup_rules(BENCHMARKS[0], args.dims),
-              swarm_count_rule(aio_params.swarm_count, args.dims))
-    except ConfigError as exc:
+        params = AioParams(pso=PsoParams(population_size=args.population_size,
+                                         max_iterations=args.iterations))
+        configs = [
+            ExperimentConfig(
+                algorithm, benchmark=name, dims=args.dims, runs=args.runs,
+                base_seed=args.seed, aio_params=params,
+                output_path=None if args.csv_dir is None
+                else os.path.join(args.csv_dir, f"{algorithm}_{name}.csv"),
+            )
+            for name in FUNCTIONS
+            for algorithm in ("pso", "aio")
+        ]
+        for config in configs:
+            config.validate()
+        if args.csv_dir is not None:
+            os.makedirs(args.csv_dir, exist_ok=True)
+
+        print(f"dims={args.dims} iterations={args.iterations} "
+              f"runs={args.runs} seeds={args.seed}..{args.seed + args.runs - 1}")
+        header = f"{'benchmark':11s} {'algorithm':9s} {'mean final':>12s} {'median final':>13s}"
+        print(header)
+        print("-" * len(header))
+
+        mean_final = {}
+        for config in configs:
+            stats = aggregate(run_experiment(config))
+            mean_final[config.benchmark, config.algorithm] = stats.mean_final
+            print(f"{config.benchmark:11s} {config.algorithm:9s} {stats.mean_final:12.4e} "
+                  f"{stats.median_final:13.4e}")
+            if config.output_path is not None:
+                write_csv(stats, config.output_path)
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    if args.csv_dir is not None:
-        os.makedirs(args.csv_dir, exist_ok=True)
-
-    print(f"dims={args.dims} iterations={args.iterations} "
-          f"runs={args.runs} seeds={args.seed}..{args.seed + args.runs - 1}")
-    header = f"{'benchmark':11s} {'algorithm':9s} {'mean final':>12s} {'median final':>13s}"
-    print(header)
-    print("-" * len(header))
-
-    wins = 0
-    for name in BENCHMARKS:
-        spec = lookup(name, args.dims)
-        results = {}
-        for algorithm, runner, params in (
-            ("pso", run_pso, pso_params),
-            ("aio", run_aio, aio_params),
-        ):
-            traces = [runner(spec, params, seed) for seed in seeds]
-            stats = aggregate(traces)
-            results[algorithm] = stats
-            print(f"{name:11s} {algorithm:9s} {stats.mean_final:12.4e} "
-                  f"{stats.median_final:13.4e}")
-            if args.csv_dir is not None:
-                path = os.path.join(args.csv_dir, f"{algorithm}_{name}.csv")
-                write_csv(stats, path)
-        if results["aio"].mean_final <= results["pso"].mean_final:
-            wins += 1
+    wins = sum(mean_final[name, "aio"] <= mean_final[name, "pso"] for name in FUNCTIONS)
     print(f"\nadaptive optimizer matched or beat the baseline on "
-          f"{wins}/{len(BENCHMARKS)} benchmarks")
+          f"{wins}/{len(FUNCTIONS)} benchmarks")
     return 0
 
 

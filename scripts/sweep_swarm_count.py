@@ -12,7 +12,7 @@ Example:
 import argparse
 import sys
 
-from aiopt import AioParams, PsoParams, aggregate, lookup, run_aio
+from aiopt import AioParams, ConfigError, ExperimentConfig, PsoParams, aggregate, run_experiment
 
 
 def parse_args(argv):
@@ -30,21 +30,32 @@ def parse_args(argv):
 
 def main(argv=None):
     args = parse_args(argv)
-    spec = lookup(args.benchmark, args.dims)
-    seeds = range(args.seed, args.seed + args.runs)
+    try:
+        configs = [
+            ExperimentConfig(
+                "aio", benchmark=args.benchmark, dims=args.dims, runs=args.runs,
+                base_seed=args.seed,
+                aio_params=AioParams(swarm_count=count,
+                                     pso=PsoParams(max_iterations=args.iterations)),
+            )
+            for count in args.counts
+        ]
+        for config in configs:
+            config.validate()
 
-    print(f"benchmark={args.benchmark} dims={args.dims} "
-          f"iterations={args.iterations} runs={args.runs}")
-    header = f"{'swarms':>6s} {'mean final':>12s} {'median final':>13s} {'min final':>12s}"
-    print(header)
-    print("-" * len(header))
+        print(f"benchmark={args.benchmark} dims={args.dims} "
+              f"iterations={args.iterations} runs={args.runs}")
+        header = f"{'swarms':>6s} {'mean final':>12s} {'median final':>13s} {'min final':>12s}"
+        print(header)
+        print("-" * len(header))
 
-    for count in args.counts:
-        params = AioParams(swarm_count=count,
-                           pso=PsoParams(max_iterations=args.iterations))
-        stats = aggregate([run_aio(spec, params, seed) for seed in seeds])
-        print(f"{count:6d} {stats.mean_final:12.4e} {stats.median_final:13.4e} "
-              f"{stats.min_final:12.4e}")
+        for config in configs:
+            stats = aggregate(run_experiment(config))
+            print(f"{config.aio_params.swarm_count:6d} {stats.mean_final:12.4e} "
+                  f"{stats.median_final:13.4e} {stats.min_final:12.4e}")
+    except (ConfigError, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

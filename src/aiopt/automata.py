@@ -62,16 +62,6 @@ class AutomatonBank:
     def action_count(self) -> int:
         return self.probabilities.shape[1]
 
-    @property
-    def scheme(self) -> str:
-        if self.penalty_rate == 0.0:
-            return "L_RI"
-        if self.reward_rate == self.penalty_rate:
-            return "L_RP"
-        if self.reward_rate > self.penalty_rate:
-            return "L_ReP"
-        return "linear"
-
     def select(self, rng: np.random.Generator, rows=slice(None)) -> np.ndarray:
         """Draw one action per row (all rows by default), rows in order.
 
@@ -156,10 +146,6 @@ class LearningAutomaton:
     @property
     def action_count(self) -> int:
         return self.bank.action_count
-
-    @property
-    def scheme(self) -> str:
-        return self.bank.scheme
 
     def select_action(self, rng: np.random.Generator) -> int:
         """Draw an action index according to the current probabilities."""

@@ -103,11 +103,9 @@ def parse_config(text: str) -> ExperimentConfig:
     for tag, value in leaves.items():
         section, name, _ = TAGS[tag]
         sections[section][name] = value
-    pso_params = PsoParams(**sections["pso"])
     return ExperimentConfig(
         algorithm=root.tag,
-        pso_params=pso_params,
-        aio_params=AioParams(pso=pso_params, **sections["aio"]),
+        aio_params=AioParams(pso=PsoParams(**sections["pso"]), **sections["aio"]),
         **sections["experiment"],
     )
 

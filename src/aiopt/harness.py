@@ -23,9 +23,13 @@ class ExperimentConfig:
     dims: int = 30
     runs: int = 5
     base_seed: int = 1
-    pso_params: PsoParams = field(default_factory=PsoParams)
     aio_params: AioParams = field(default_factory=AioParams)
     output_path: str | None = None
+
+    @property
+    def pso_params(self) -> PsoParams:
+        """The one PSO parameter set, ``aio_params.pso``; both algorithms run under it."""
+        return self.aio_params.pso
 
     def _rules(self) -> list[tuple[bool, str]]:
         return [
@@ -44,7 +48,7 @@ class ExperimentConfig:
         if self.benchmark not in DOMAINS:
             return []
         lower, upper = DOMAINS[self.benchmark]
-        params = self.pso_params if self.algorithm == "pso" else self.aio_params.pso
+        params = self.pso_params
         w = max(params.w_fixed, params.w_max)
         bound = (w + params.c1 + params.c2) * (upper - lower)
         return [(math.isfinite(bound),

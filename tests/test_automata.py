@@ -19,17 +19,17 @@ def automaton(probabilities, a=0.1, b=0.1):
 def test_two_action_uniform_start():
     auto = LearningAutomaton(2, 0.1, 0.1)
     np.testing.assert_array_equal(auto.probabilities, [0.5, 0.5])
-    assert auto.scheme == "L_RP"
 
 
 def test_four_action_reward_inaction():
     auto = LearningAutomaton(4, 0.1, 0.0)
     np.testing.assert_array_equal(auto.probabilities, [0.25] * 4)
-    assert auto.scheme == "L_RI"
 
 
 def test_reward_epsilon_penalty_label():
-    assert LearningAutomaton(3, 0.5, 0.01).scheme == "L_ReP"
+    auto = LearningAutomaton(3, 0.5, 0.01)
+    np.testing.assert_array_equal(auto.probabilities, [1 / 3] * 3)
+    assert (auto.bank.reward_rate, auto.bank.penalty_rate) == (0.5, 0.01)
 
 
 @pytest.mark.parametrize("r, a, b", [(1, 0.1, 0.1), (0, 0.1, 0.1), (2, -0.1, 0.1),
@@ -288,7 +288,7 @@ def test_vector_draw_equals_scalar_draws(n, seed):
 def test_bank_rows_are_writable_automaton_views():
     bank = AutomatonBank(3, 4, 0.2, 0.1)
     auto = bank[1]
-    assert (auto.action_count, auto.scheme) == (4, "L_ReP")
+    assert auto.action_count == 4
     auto.probabilities[:] = [0.0, 1.0, 0.0, 0.0]
     auto.reinforce(1, PENALTY)
     np.testing.assert_array_equal(bank.probabilities[1], auto.probabilities)

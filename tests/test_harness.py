@@ -9,8 +9,10 @@ import pytest
 
 import aiopt
 from aiopt import (
+    AioParams,
     ConfigError,
     ExperimentConfig,
+    PsoParams,
     aggregate,
     load_config,
     parse_config,
@@ -215,6 +217,31 @@ def test_experiment_drives_both_algorithms():
         traces = run_experiment(small_config(algorithm=algorithm))
         assert len(traces) == 3
         assert all(len(t.best_fitness) == 50 for t in traces)
+
+
+@pytest.mark.parametrize("algorithm", ["pso", "aio"])
+def test_both_algorithms_run_under_the_one_pso_set(algorithm):
+    config = ExperimentConfig(
+        algorithm, dims=4, runs=2, aio_params=AioParams(swarm_count=2, pso=PsoParams(
+            population_size=4, max_iterations=3)),
+    )
+    assert config.pso_params is config.aio_params.pso
+    assert [len(t.best_fitness) for t in run_experiment(config)] == [3, 3]
+
+
+def test_the_pso_set_cannot_be_set_apart_from_aio_params():
+    config = ExperimentConfig("pso")
+    with pytest.raises(AttributeError):
+        config.pso_params = PsoParams(max_iterations=3)
+    with pytest.raises(TypeError):
+        ExperimentConfig("aio", pso_params=PsoParams(max_iterations=3))
+
+
+@pytest.mark.parametrize("root", ["pso", "aio"])
+def test_parsed_config_holds_one_pso_set(root):
+    config = parse_config(f"<{root}><iterations>7</iterations><c1>1.2</c1></{root}>")
+    assert config.pso_params is config.aio_params.pso
+    assert (config.pso_params.max_iterations, config.pso_params.c1) == (7, 1.2)
 
 
 def test_invalid_config_propagates():

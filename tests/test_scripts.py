@@ -2,6 +2,8 @@
 import runpy
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -31,6 +33,48 @@ def test_compare_optimizers_reports_bad_settings(capsys):
     captured = capsys.readouterr()
     assert captured.err == "error: <tdr-factor> must be <= <dimensions>, got 5 > 4\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "script, argv, message",
+    [
+        pytest.param("sweep_swarm_count.py", ["--dims", "4", "--counts", "5"],
+                     "<tdr-factor> must be <= <dimensions>, got 5 > 4", id="sweep-more-swarms-than-dims"),
+        pytest.param("sweep_swarm_count.py", ["--benchmark", "nope"],
+                     "<benchmark> must be one of ackley, griewank, rastrigin, rosenbrock, sphere, "
+                     "got 'nope'", id="sweep-unknown-benchmark"),
+        pytest.param("sweep_swarm_count.py", ["--counts", "0"],
+                     "<tdr-factor> must be >= 1, got 0", id="sweep-zero-swarms"),
+        pytest.param("sweep_swarm_count.py", ["--runs", "0"],
+                     "<runs> must be >= 1, got 0", id="sweep-zero-runs"),
+        pytest.param("compare_optimizers.py", ["--runs", "0"],
+                     "<runs> must be >= 1, got 0", id="compare-zero-runs"),
+        pytest.param("compare_optimizers.py", ["--dims", "6", "--csv-dir", "{file}"],
+                     "File exists", id="compare-csv-dir-is-a-file"),
+    ],
+)
+def test_scripts_report_errors_like_the_cli(script, argv, message, tmp_path, capsys):
+    """Exit status 1 and one ``error: ...`` line on stderr, with nothing
+    printed on stdout, as ``aiopt.cli.main`` does."""
+    existing = tmp_path / "not-a-directory"
+    existing.write_text("")
+    argv = [arg.format(file=existing) for arg in argv] + ["--iterations", "2"]
+    assert script_main(script)(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert message in captured.err
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+def test_compare_optimizers_writes_a_csv_per_run(tmp_path, capsys):
+    main = script_main("compare_optimizers.py")
+    assert main(["--dims", "6", "--iterations", "3", "--runs", "1",
+                 "--population-size", "4", "--csv-dir", str(tmp_path / "curves")]) == 0
+    written = sorted(path.name for path in (tmp_path / "curves").iterdir())
+    assert written == sorted(f"{algorithm}_{name}.csv" for algorithm in ("pso", "aio")
+                             for name in ("sphere", "rosenbrock", "ackley", "griewank", "rastrigin"))
+    assert (tmp_path / "curves" / "aio_sphere.csv").read_text().count("\n") == 4
 
 
 def test_sweep_swarm_count_prints_a_row_per_count(capsys):
