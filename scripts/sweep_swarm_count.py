@@ -40,8 +40,6 @@ def main(argv=None):
             )
             for count in args.counts
         ]
-        for config in configs:
-            config.validate()
 
         print(f"benchmark={args.benchmark} dims={args.dims} "
               f"iterations={args.iterations} runs={args.runs}")
@@ -53,7 +51,7 @@ def main(argv=None):
             stats = aggregate(run_experiment(config))
             print(f"{config.aio_params.swarm_count:6d} {stats.mean_final:12.4e} "
                   f"{stats.median_final:13.4e} {stats.min_final:12.4e}")
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

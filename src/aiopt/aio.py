@@ -38,13 +38,14 @@ from .pso import (
     init_population,
     update_positions,
     update_velocities,
+    velocity_rule,
 )
 
 POP_A = 0
 POP_B = 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class AioParams:
     """Swarm decomposition, elite handling and automata learning rates."""
 
@@ -113,9 +114,11 @@ def init_aio_state(spec: BenchmarkSpec, params: AioParams, rng: np.random.Genera
     """Fresh populations, uniform automata, and the initial global best.
 
     Population A is initialized before population B; the shared global
-    best starts from the better of the two initial bests.
+    best starts from the better of the two initial bests.  Raises
+    ``ConfigError`` if ``params`` break ``swarm_count_rule`` or ``velocity_rule``.
     """
-    check(swarm_count_rule(params.swarm_count, spec.dims))
+    check(swarm_count_rule(params.swarm_count, spec.dims),
+          velocity_rule(params.pso, spec.lower, spec.upper))
     pop_a, best_a = init_population(spec, params.pso.population_size, rng)
     pop_b, best_b = init_population(spec, params.pso.population_size, rng)
     best = best_a if best_a.fitness <= best_b.fitness else best_b

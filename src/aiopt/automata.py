@@ -97,7 +97,7 @@ class AutomatonBank:
         self._update(rows, actions, np.asarray(rewarded, dtype=bool))
 
     def _update(self, rows, actions: np.ndarray, rewarded: np.ndarray) -> None:
-        """The linear reinforcement rule on validated actions.
+        """The linear reinforcement rule on checked actions.
 
         Each element goes through the same floating-point operations, in
         the same order, as a one-automaton update that rescales the row,

@@ -20,8 +20,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--benchmark", help="override the benchmark function")
     parser.add_argument("--dims", type=int, help="override the dimension count")
     parser.add_argument("--runs", type=int, help="override the number of seeded runs")
-    parser.add_argument("--seed", type=int, help="override the base seed")
-    parser.add_argument("--out", help="override the CSV output path")
+    parser.add_argument("--seed", type=int, dest="base_seed", metavar="SEED",
+                        help="override the base seed")
+    parser.add_argument("--out", dest="output_path", metavar="OUT",
+                        help="override the CSV output path")
     return parser
 
 
@@ -33,25 +35,15 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
 
     try:
-        config = load_config(args.config)
-        if args.algorithm is not None:
-            config.algorithm = args.algorithm
-        if args.benchmark is not None:
-            config.benchmark = args.benchmark
-        if args.dims is not None:
-            config.dims = args.dims
-        if args.runs is not None:
-            config.runs = args.runs
-        if args.seed is not None:
-            config.base_seed = args.seed
-        if args.out is not None:
-            config.output_path = args.out
-
+        # Every flag but --config is named after the field it overrides.
+        overrides = {name: value for name, value in vars(args).items()
+                     if name != "config" and value is not None}
+        config = load_config(args.config, **overrides)
         traces = run_experiment(config)
         stats = aggregate(traces)
         out = config.output_path or f"{config.algorithm}_{config.benchmark}.csv"
         write_csv(stats, out)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

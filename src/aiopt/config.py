@@ -10,8 +10,8 @@ it sets.  Every parameter has a default, so the minimal valid document
 is ``<aio><super-component type="pso"/></aio>``.
 
 The parser only maps tags to fields and parses their text: defaults and
-ranges live on the dataclasses ``ExperimentConfig`` (in ``harness``),
-``PsoParams`` and ``AioParams``.
+ranges live on the frozen dataclasses ``ExperimentConfig`` (in
+``harness``), ``PsoParams`` and ``AioParams``, which check them when built.
 """
 from __future__ import annotations
 
@@ -86,8 +86,9 @@ def _collect_leaves(element: ET.Element, leaves: dict, allow_super: bool) -> Non
             raise ConfigError(f"unknown tag <{child.tag}>")
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse an XML experiment document; absent parameters take defaults."""
+def parse_config(text: str, **overrides) -> ExperimentConfig:
+    """Parse an XML experiment document; absent parameters take defaults, and
+    ``overrides`` (``ExperimentConfig`` fields) replace the document's values."""
     try:
         root = ET.fromstring(text)
     except ET.ParseError as exc:
@@ -104,17 +105,16 @@ def parse_config(text: str) -> ExperimentConfig:
         section, name, _ = TAGS[tag]
         sections[section][name] = value
     return ExperimentConfig(
-        algorithm=root.tag,
         aio_params=AioParams(pso=PsoParams(**sections["pso"]), **sections["aio"]),
-        **sections["experiment"],
+        **{"algorithm": root.tag, **sections["experiment"], **overrides},
     )
 
 
-def load_config(path: str) -> ExperimentConfig:
-    """Read and parse an XML experiment file."""
+def load_config(path: str, **overrides) -> ExperimentConfig:
+    """Read and parse an XML experiment file; see ``parse_config``."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    return parse_config(text)
+    return parse_config(text, **overrides)

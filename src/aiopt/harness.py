@@ -1,7 +1,6 @@
 """Experiment driver: seeded runs, aggregation, CSV convergence output."""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -9,14 +8,14 @@ import numpy as np
 from .aio import AioParams, run_aio, swarm_count_rule
 from .benchmarks import DOMAINS, lookup, lookup_rules
 from .errors import check
-from .pso import PsoParams, RunTrace, run_pso
+from .pso import PsoParams, RunTrace, run_pso, velocity_rule
 
 ALGORITHMS = ("pso", "aio")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """Full parameterization of a multi-seed experiment."""
+    """Full parameterization of a multi-seed experiment, checked once when built."""
 
     algorithm: str
     benchmark: str = "sphere"
@@ -31,37 +30,16 @@ class ExperimentConfig:
         """The one PSO parameter set, ``aio_params.pso``; both algorithms run under it."""
         return self.aio_params.pso
 
-    def _rules(self) -> list[tuple[bool, str]]:
-        return [
+    def __post_init__(self):
+        rules = [
             (self.algorithm in ALGORITHMS,
              f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}"),
             (self.runs >= 1, f"<runs> must be >= 1, got {self.runs}"),
             (self.base_seed >= 0, f"<seed> must be >= 0, got {self.base_seed}"),
             *lookup_rules(self.benchmark, self.dims),
-            *self._velocity_rules(),
         ]
-
-    def _velocity_rules(self) -> list[tuple[bool, str]]:
-        """Each term of the velocity update, ``w*v``, ``c1*r1*(pbest - x)``
-        and ``c2*r2*(gbest - x)``, is at most its constant times the box
-        width, so their sum must stay finite in float64."""
-        if self.benchmark not in DOMAINS:
-            return []
-        lower, upper = DOMAINS[self.benchmark]
-        params = self.pso_params
-        w = max(params.w_fixed, params.w_max)
-        bound = (w + params.c1 + params.c2) * (upper - lower)
-        return [(math.isfinite(bound),
-                 f"(max(<w>, <w-max>) + <c1> + <c2>) * (upper - lower) must be finite, got "
-                 f"({w} + {params.c1} + {params.c2}) * ({upper} - {lower})")]
-
-    def __post_init__(self):
-        check(*self._rules())
-
-    def validate(self) -> None:
-        """Re-check every field, since callers may assign fields after
-        construction, then check the swarm count against the dimensions."""
-        rules = self._rules()
+        if self.benchmark in DOMAINS:
+            rules.append(velocity_rule(self.pso_params, *DOMAINS[self.benchmark]))
         if self.algorithm == "aio":
             rules.append(swarm_count_rule(self.aio_params.swarm_count, self.dims))
         check(*rules)
@@ -81,7 +59,6 @@ class SummaryStats:
 
 def run_experiment(config: ExperimentConfig) -> list[RunTrace]:
     """Execute ``config.runs`` independent runs, run r seeded base_seed + r."""
-    config.validate()
     spec = lookup(config.benchmark, config.dims)
     runner = run_pso if config.algorithm == "pso" else run_aio
     params = config.pso_params if config.algorithm == "pso" else config.aio_params

@@ -7,6 +7,7 @@ adaptive optimizer built on top of it.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -18,7 +19,7 @@ from .errors import check
 INERTIA_MODES = ("fixed", "slow", "quick")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PsoParams:
     """Swarm update constants and iteration budget.
 
@@ -49,6 +50,20 @@ class PsoParams:
              f"<population-size> must be >= 2, got {self.population_size}"),
             (self.max_iterations >= 0, f"<iterations> must be >= 0, got {self.max_iterations}"),
         )
+
+
+def velocity_rule(params: PsoParams, lower: float, upper: float) -> tuple[bool, str]:
+    """The velocity update's bound in the box ``[lower, upper]``; a rule for ``check``.
+
+    Each term of the update, ``w*v``, ``c1*r1*(pbest - x)`` and
+    ``c2*r2*(gbest - x)``, is at most its constant times the box width, so
+    their sum must stay finite in float64.
+    """
+    w = max(params.w_fixed, params.w_max)
+    bound = (w + params.c1 + params.c2) * (upper - lower)
+    return (math.isfinite(bound),
+            f"(max(<w>, <w-max>) + <c1> + <c2>) * (upper - lower) must be finite, got "
+            f"({w} + {params.c1} + {params.c2}) * ({upper} - {lower})")
 
 
 @dataclass
@@ -227,7 +242,11 @@ def pso_step(
 
 
 def run_pso(spec: BenchmarkSpec, params: PsoParams, seed: int) -> RunTrace:
-    """Full seeded PSO run; records the global best after every iteration."""
+    """Full seeded PSO run; records the global best after every iteration.
+
+    Raises ``ConfigError`` if ``params`` break ``velocity_rule`` in ``spec``'s box.
+    """
+    check(velocity_rule(params, spec.lower, spec.upper))
     rng = np.random.default_rng(seed)
     population, gbest = init_population(spec, params.population_size, rng)
     trace = np.empty(params.max_iterations, dtype=np.float64)

@@ -1,9 +1,12 @@
 """Fuzzed XML experiment documents.
 
 Documents are drawn from the ``TAGS`` table with valid, out-of-range and
-extreme texts.  Each one must either raise ``ConfigError`` or run through
-``run_experiment`` with no warning at all, giving finite traces that
-never increase, one entry per iteration.
+extreme texts, and parsed with drawn overrides of the experiment fields,
+as the CLI's flags pass them.  Each one must either raise ``ConfigError``
+when parsed or run through ``run_experiment`` with no warning at all,
+giving finite traces that never increase, one entry per iteration.  ``run_pso`` and
+``run_aio``, given the parameters of a parsed document and a drawn
+benchmark, must likewise raise ``ConfigError`` or run clean.
 """
 import warnings
 from collections import Counter
@@ -13,7 +16,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aiopt import ConfigError, parse_config, run_experiment
+from aiopt import ConfigError, lookup, parse_config, run_aio, run_experiment, run_pso
 from aiopt.benchmarks import FUNCTIONS
 from aiopt.config import TAGS
 
@@ -66,6 +69,17 @@ def texts(tag):
     return st.just("curve.csv"), st.sampled_from(EXTREMES)
 
 
+# Optional overrides of experiment fields, valid or not.  Two or three
+# dimensions leave no room for some valid <tdr-factor>.
+OVERRIDES = st.fixed_dictionaries({}, optional={
+    "algorithm": st.sampled_from(["pso", "aio"]),
+    "benchmark": st.sampled_from([*sorted(FUNCTIONS), "nope"]),
+    "dims": st.integers(1, 12),
+    "runs": st.integers(0, 2),
+    "base_seed": st.integers(-1, 2**70),
+})
+
+
 @st.composite
 def documents(draw):
     root = draw(st.sampled_from(["pso", "aio"]))
@@ -88,34 +102,41 @@ def documents(draw):
             f'</super-component>{"".join(leaves[inner:])}</{root}>')
 
 
-def outcome(document: str) -> str:
-    """"rejected" on ConfigError, else "ran" after checking every trace."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        try:
-            config = parse_config(document)
-            traces = run_experiment(config)
-        except ConfigError:
-            return "rejected"
-    assert len(traces) == config.runs
-    for trace in traces:
-        assert len(trace.best_fitness) == config.pso_params.max_iterations
-        assert np.all(np.isfinite(trace.best_fitness))
-        assert np.all(np.diff(trace.best_fitness) <= 0.0)
-        assert np.isfinite(trace.final_fitness)
-    return "ran"
-
-
 def test_fuzzed_documents_are_rejected_or_run_clean():
     outcomes = Counter()
+    library = Counter()
 
     @settings(deadline=None, max_examples=200)
-    @given(documents())
-    def check(document):
-        outcomes[outcome(document)] += 1
+    @given(documents(), OVERRIDES, st.sampled_from(sorted(FUNCTIONS)))
+    def check(document, overrides, benchmark):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                config = parse_config(document, **overrides)
+            except ConfigError:
+                outcomes["rejected"] += 1
+                return
+            # The config was checked when it was built, so it runs.
+            traces = run_experiment(config)
+            assert len(traces) == config.runs
+            spec = lookup(benchmark, config.dims)
+            for runner, params in ((run_pso, config.pso_params), (run_aio, config.aio_params)):
+                try:
+                    traces.append(runner(spec, params, config.base_seed))
+                    library["ran"] += 1
+                except ConfigError:
+                    library["rejected"] += 1
+        outcomes["ran"] += 1
+        for trace in traces:
+            assert len(trace.best_fitness) == config.pso_params.max_iterations
+            assert np.all(np.isfinite(trace.best_fitness))
+            assert np.all(np.diff(trace.best_fitness) <= 0.0)
+            assert np.isfinite(trace.final_fitness)
 
     check()
     # Both outcomes must be a real share of the draws.
     total = sum(outcomes.values())
     assert outcomes["ran"] >= total / 8, outcomes
     assert outcomes["rejected"] >= total / 8, outcomes
+    # Most library calls run; the box rule rejects a few on a wider box.
+    assert library["ran"] >= sum(library.values()) / 2, library

@@ -1,7 +1,9 @@
 """XML config parsing, experiment driving, aggregation, CSV output, and CLI."""
+import dataclasses
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,8 +17,11 @@ from aiopt import (
     PsoParams,
     aggregate,
     load_config,
+    lookup,
     parse_config,
+    run_aio,
     run_experiment,
+    run_pso,
     write_csv,
 )
 from aiopt.cli import main
@@ -174,20 +179,53 @@ def test_load_config_missing_file_names_the_path():
 
 
 def test_validate_rejects_swarm_count_above_dimensions():
-    config = parse_config("<aio><dimensions>3</dimensions><tdr-factor>5</tdr-factor></aio>")
     with pytest.raises(ConfigError) as err:
-        config.validate()
-    assert "tdr-factor" in str(err.value)
+        parse_config("<aio><dimensions>3</dimensions><tdr-factor>5</tdr-factor></aio>")
+    assert "<tdr-factor>" in str(err.value)
+
+
+@pytest.mark.parametrize("build, field", [
+    (PsoParams, "c1"),
+    (PsoParams, "max_iterations"),
+    (AioParams, "swarm_count"),
+    (lambda: ExperimentConfig("aio"), "dims"),
+])
+def test_built_configs_are_frozen(build, field):
+    built = build()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(built, field, -1)
+
+
+@pytest.mark.parametrize("runner, params", [
+    (run_pso, PsoParams(c1=1e308, c2=1e308, population_size=4, max_iterations=3)),
+    (run_aio, AioParams(pso=PsoParams(c1=1e308, c2=1e308, population_size=4, max_iterations=3))),
+])
+def test_library_runs_reject_overflowing_constants_before_any_warning(runner, params):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError) as err:
+            runner(lookup("rastrigin", 10), params, seed=1)
+    assert "<c1>" in str(err.value) and "<c2>" in str(err.value)
+
+
+def test_velocity_rule_follows_the_box_of_the_run():
+    """<c1>1e306 is finite times rastrigin's box width but not griewank's."""
+    config = parse_config("<pso><benchmark>rastrigin</benchmark><dimensions>4</dimensions>"
+                          "<iterations>3</iterations><c1>1e306</c1></pso>")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="<c1>"):
+            run_pso(lookup("griewank", 4), config.pso_params, seed=1)
 
 
 # ------------------------------------------------------------- experiments
 
-def small_config(algorithm="pso", runs=3):
+def small_config(algorithm="pso", runs=3, iterations=50):
     return parse_config(
         f"<{algorithm}>"
         "<benchmark>sphere</benchmark><dimensions>2</dimensions>"
         f"<runs>{runs}</runs><seed>10</seed>"
-        "<population-size>10</population-size><iterations>50</iterations>"
+        f"<population-size>10</population-size><iterations>{iterations}</iterations>"
         "<tdr-factor>2</tdr-factor>"
         f"</{algorithm}>"
     )
@@ -206,8 +244,7 @@ def test_experiment_is_deterministic():
 
 
 def test_single_run_trace_is_non_increasing():
-    config = small_config(runs=1)
-    config.pso_params.max_iterations = 500
+    config = small_config(runs=1, iterations=500)
     (result,) = run_experiment(config)
     assert np.all(np.diff(result.best_fitness) <= 0.0)
 
@@ -245,10 +282,8 @@ def test_parsed_config_holds_one_pso_set(root):
 
 
 def test_invalid_config_propagates():
-    config = small_config()
-    config.benchmark = "nosuch"
     with pytest.raises(ConfigError):
-        run_experiment(config)
+        dataclasses.replace(small_config(), benchmark="nosuch")
 
 
 # -------------------------------------------------------------- aggregation
@@ -383,6 +418,17 @@ def test_cli_unknown_benchmark_lists_names(tmp_path, capsys):
         assert name in captured.err
 
 
+@pytest.mark.parametrize("flags", [["--dims", "30"], ["--algorithm", "pso"]])
+def test_cli_flags_replace_file_values_before_the_check(tmp_path, capsys, flags):
+    """Three dimensions cannot hold five aio swarms; either flag makes the file valid."""
+    config = write_config(
+        tmp_path, "<aio><dimensions>3</dimensions><tdr-factor>5</tdr-factor><runs>1</runs>"
+        "<population-size>4</population-size><iterations>3</iterations></aio>")
+    assert main(["--config", config, "--out", str(tmp_path / "out.csv"), *flags]) == 0
+    assert main(["--config", config, "--out", str(tmp_path / "out.csv")]) == 1
+    assert "<tdr-factor>" in capsys.readouterr().err
+
+
 def test_cli_dimension_override_is_validated(tmp_path, capsys):
     config = write_config(tmp_path)
     code = main(["--config", config, "--dims", "1"])
@@ -412,6 +458,17 @@ def test_cli_rejects_overflowing_constants_before_any_warning(tmp_path, algorith
     assert "Traceback" not in proc.stderr
     assert "<c1>" in proc.stderr and "<c2>" in proc.stderr
     assert not (tmp_path / "out.csv").exists()
+
+
+def test_cli_reports_an_allocation_failure_as_one_error_line(tmp_path, capsys):
+    # 2**55 float64 values need 256 PiB, more than any address space maps,
+    # so the first allocation fails at once without touching memory.
+    config = write_config(tmp_path)
+    code = main(["--config", config, "--dims", str(2**55), "--out", str(tmp_path / "out.csv")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
 
 
 def test_cli_requires_config_flag(capsys):

@@ -67,6 +67,15 @@ def test_scripts_report_errors_like_the_cli(script, argv, message, tmp_path, cap
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("script", ["compare_optimizers.py", "sweep_swarm_count.py"])
+def test_scripts_report_an_allocation_failure_as_one_error_line(script, capsys):
+    # 2**55 float64 values need 256 PiB, more than any address space maps,
+    # so the first allocation fails at once without touching memory.
+    assert script_main(script)(["--dims", str(2**55), "--iterations", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_compare_optimizers_writes_a_csv_per_run(tmp_path, capsys):
     main = script_main("compare_optimizers.py")
     assert main(["--dims", "6", "--iterations", "3", "--runs", "1",
