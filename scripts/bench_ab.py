@@ -7,6 +7,11 @@ end-to-end metrics that ``BENCHMARK.json`` gates.  Put both checkouts in
 sibling directories whose names have the same length: the D=1000
 workloads' speed depends on heap layout, which shifts with path strings.
 
+For step workloads it also counts the minor page faults of each set-up
+that follows a run, in a fresh interpreter and in ``bench/run.py``'s
+order (one run, then ten set-ups), since glibc's heap trim state after a
+run decides whether a set-up faults in fresh pages.
+
 Example (about 14 minutes at the default 36 seconds per run):
     python scripts/bench_ab.py --parent ../base --change ../head \\
         --pairs aio-rastrigin-d1000=5 pso-sphere-d1000=3 cli-aio-rosenbrock-d30=3 \\
@@ -17,9 +22,33 @@ import json
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 SIDES = ("parent", "change")
+
+# Run in a checkout, with argv = workload, benchmark seed, scratch directory:
+# prints the minor faults of each set-up after one run as a JSON list, or
+# null for a workload that is not a step workload.
+FAULTS_PROBE = """
+import json, resource, sys
+from array import array
+from pathlib import Path
+sys.path[:0] = ["src", "bench"]
+from workloads import WORKLOADS, StepWorkload
+workload, outdir = WORKLOADS[sys.argv[1]], Path(sys.argv[3])
+if not isinstance(workload, StepWorkload):
+    print("null")
+    sys.exit()
+first, count = workload.pass_seeds(int(sys.argv[2]), 0)
+workload.work(first, count, outdir, array("d"))
+faults = []
+for r in range(10):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    workload.setup(first + r, outdir)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps(faults))
+"""
 
 
 def parse_args(argv):
@@ -49,6 +78,14 @@ def bench_run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         "golden": record["golden"]["status"],
         "host": record["host"],
     }
+
+
+def setup_faults(tree: Path, workload: str, seed: int):
+    """Minor faults of the ten set-ups after one run (``FAULTS_PROBE``), or None."""
+    with tempfile.TemporaryDirectory() as scratch:
+        cmd = [sys.executable, "-B", "-c", FAULTS_PROBE, workload, str(seed), scratch]
+        proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
 
 
 def quartiles(values):
@@ -84,6 +121,16 @@ def summarize(runs: dict, gates: list) -> dict:
     return out
 
 
+def summarize_faults(runs: dict):
+    """Per side, quartiles of the set-up fault counts of all its runs; None
+    for a workload whose runs have no counts."""
+    if any(r.get("setup_faults") is None for side in SIDES for r in runs[side]):
+        return None
+    return {side: dict(zip(("q1", "median", "q3"),
+                           quartiles([f for r in runs[side] for f in r["setup_faults"]])))
+            for side in SIDES}
+
+
 def main(argv=None):
     args = parse_args(argv)
     trees = {"parent": Path(args.parent).resolve(), "change": Path(args.change).resolve()}
@@ -98,6 +145,7 @@ def main(argv=None):
             for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
                 run = bench_run(trees[side], workload, seed, args.seconds)
                 result.setdefault("host", run.pop("host"))
+                run["setup_faults"] = setup_faults(trees[side], workload, seed)
                 runs[side].append(run)
                 print(f"{workload} pair {i} {side}: " + " ".join(
                     f"{k}={v:.4g}" for k, v in run["metrics"].items()), flush=True)
@@ -106,6 +154,7 @@ def main(argv=None):
             "failed": {side: sum(r["failed"] for r in runs[side]) for side in SIDES},
             "golden": {side: sorted({r["golden"] for r in runs[side]}) for side in SIDES},
             "summary": summarize(runs, gates),
+            "setup_faults": summarize_faults(runs),
             "runs": runs,
         }
     Path(args.out).write_text(json.dumps(result, indent=1) + "\n")

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -95,14 +94,37 @@ class SwarmPartition:
 
 @dataclass
 class AioState:
-    pop_a: Population
-    pop_b: Population
+    """Both populations column-major, the two automaton layers and the shared best.
+
+    ``columns[0]``, ``columns[1]`` and ``columns[2]`` hold positions,
+    velocities and personal bests, each ``(2, D, n)``: one row per
+    (population, dimension).  ``pbest_fitness`` is ``(2, n)``.  ``pop_a``
+    and ``pop_b`` are ``Population`` views of them, so a write through
+    either reaches the state.
+    """
+
+    columns: np.ndarray
+    pbest_fitness: np.ndarray
     dimension_automata: AutomatonBank
     swarm_automata: AutomatonBank
     context: ContextState
+    _work: np.ndarray = field(default_factory=lambda: np.empty(0), init=False, repr=False)
 
     def population(self, choice: int) -> Population:
-        return self.pop_a if choice == POP_A else self.pop_b
+        positions, velocities, pbest_positions = self.columns[:, choice]
+        return Population(positions.T, velocities.T, pbest_positions.T, self.pbest_fitness[choice])
+
+    pop_a = property(lambda self: self.population(POP_A))
+    pop_b = property(lambda self: self.population(POP_B))
+
+    def work(self, size: int) -> np.ndarray:
+        """``size`` float64 entries that live as long as the state, made on the
+        first step, not at set-up.  At D = 1000 they are one 2.3 MB block,
+        whose release after a run raises glibc's heap trim threshold, so the
+        set-ups that follow keep their heap pages instead of faulting."""
+        if self._work.size < size:
+            self._work = np.empty(size)
+        return self._work[:size]
 
 
 def elite_count(elite_factor: float, population_size: int) -> int:
@@ -119,9 +141,19 @@ def init_aio_state(spec: BenchmarkSpec, params: AioParams, rng: np.random.Genera
     """
     check(swarm_count_rule(params.swarm_count, spec.dims),
           velocity_rule(params.pso, spec.lower, spec.upper))
-    pop_a, best_a = init_population(spec, params.pso.population_size, rng)
-    pop_b, best_b = init_population(spec, params.pso.population_size, rng)
-    best = best_a if best_a.fitness <= best_b.fitness else best_b
+    n = params.pso.population_size
+    columns = np.empty((3, 2, spec.dims, n))
+    pbest_fitness = np.empty((2, n))
+    bests = []
+    for choice in (POP_A, POP_B):
+        population, best = init_population(spec, n, rng)
+        columns[0, choice] = population.positions.T
+        pbest_fitness[choice] = population.pbest_fitness
+        bests.append(best)
+        del population  # a set-up holds one at a time, so it stays on glibc's heap
+    columns[1] = 0.0  # init_population starts every velocity at zero
+    columns[2] = columns[0]  # and every personal best at the start point
+    best = min(bests, key=lambda b: b.fitness)  # population A's on a tie
     # A single swarm needs no membership automata (the automaton contract
     # requires at least two actions); the partition is then trivial and
     # the membership bank is empty.
@@ -130,12 +162,8 @@ def init_aio_state(spec: BenchmarkSpec, params: AioParams, rng: np.random.Genera
         spec.dims if k >= 2 else 0, max(k, 2), params.la_reward, params.la_penalty
     )
     swarm_automata = AutomatonBank(k, 2, params.la_reward, params.la_penalty)
-    context = ContextState(
-        gbest_position=best.position.copy(),
-        gbest_fitness=best.fitness,
-        improved_last_iteration=False,
-    )
-    return AioState(pop_a, pop_b, dimension_automata, swarm_automata, context)
+    context = ContextState(best.position.copy(), best.fitness)
+    return AioState(columns, pbest_fitness, dimension_automata, swarm_automata, context)
 
 
 def select_memberships(
@@ -161,109 +189,47 @@ def select_populations(swarm_automata: AutomatonBank, rng: np.random.Generator) 
     return swarm_automata.select(rng)
 
 
-def _checked_dims(swarm_dims: np.ndarray, dims: int) -> np.ndarray:
-    swarm_dims = np.asarray(swarm_dims, dtype=np.intp)
-    if swarm_dims.size == 0:
-        raise ValueError("swarm dimension set must be non-empty")
-    if swarm_dims.min() < 0 or swarm_dims.max() >= dims:
-        raise ValueError("swarm dimension index out of range")
-    return swarm_dims
-
-
-def _context_rows(swarm_dims: np.ndarray, values: np.ndarray, base: np.ndarray) -> np.ndarray:
-    """``base`` once per row of ``values``, with columns ``swarm_dims`` set to that row."""
-    rows = np.empty(values.shape[:-1] + base.shape)
-    rows[...] = base
-    rows[..., swarm_dims] = values
-    return rows
-
-
-def context_vector(
-    swarm_dims: np.ndarray, particle_values: np.ndarray, gbest_position: np.ndarray
-) -> np.ndarray:
-    """Global best with the swarm's dimensions replaced by particle values.
-
-    ``particle_values`` holds one particle's swarm-dimension values, or a
-    2-D batch of them with one row per particle, which gives one context
-    row per particle.
-    """
-    gbest_position = np.asarray(gbest_position, dtype=np.float64)
-    swarm_dims = _checked_dims(swarm_dims, len(gbest_position))
-    return _context_rows(swarm_dims, np.asarray(particle_values), gbest_position)
-
-
-@dataclass
-class Swarm:
-    """One swarm's columns of its chosen population, copied once per step.
-
-    ``positions``, ``velocities`` and ``pbest_positions`` are copies of the
-    population's ``dims`` columns, in the order of ``dims``, each made on
-    its first use.  ``evaluate_swarm`` reads the positions and updates the
-    personal bests on the copies; ``rank_and_concentrate`` moves positions
-    and velocities and then calls ``store``, which writes back what
-    changed.  Raises ``ValueError`` if ``dims`` is empty or out of range.
-    """
-
-    population: Population
-    dims: np.ndarray
-    pbest_changed: bool = False
-
-    def __post_init__(self):
-        self.dims = _checked_dims(self.dims, self.population.positions.shape[1])
-
-    @cached_property
-    def positions(self) -> np.ndarray:
-        return self.population.positions.take(self.dims, axis=1)
-
-    @cached_property
-    def velocities(self) -> np.ndarray:
-        return self.population.velocities.take(self.dims, axis=1)
-
-    @cached_property
-    def pbest_positions(self) -> np.ndarray:
-        return self.population.pbest_positions.take(self.dims, axis=1)
-
-    def store(self) -> None:
-        """Write the swarm's positions and velocities, and its personal bests
-        if they changed, back into the population."""
-        population, dims = self.population, self.dims
-        population.positions[:, dims] = self.positions
-        population.velocities[:, dims] = self.velocities
-        if self.pbest_changed:
-            population.pbest_positions[:, dims] = self.pbest_positions
-
-
-def evaluate_swarm(swarm: Swarm, context: ContextState, spec: BenchmarkSpec):
+def evaluate_swarm(dims: np.ndarray, positions: np.ndarray, pbest_positions: np.ndarray,
+                   pbest_fitness: np.ndarray, context: ContextState, spec: BenchmarkSpec):
     """Context-evaluate every particle of a swarm.
 
-    Objectives with per-column terms score the context rows from the
-    swarm's columns (``BenchmarkSpec.context_fitness``); rosenbrock, whose
-    terms couple neighbouring columns, evaluates the full context rows.
-    Either way the fitness has the bits of ``evaluate`` on the full rows.
+    ``positions`` and ``pbest_positions`` are the swarm's columns of one
+    population, ``(len(dims), n)``; ``pbest_fitness`` is that
+    population's.  Objectives with per-column terms score the context rows
+    from the swarm's columns (``BenchmarkSpec.context_fitness``);
+    rosenbrock, whose terms couple neighbouring columns, evaluates the full
+    context rows.  Either way the fitness has the bits of ``evaluate`` on
+    the full rows.
 
-    Personal bests take the swarm-dimension values (on the swarm's copy,
-    which ``Swarm.store`` writes back) and the new fitness on strict
-    improvement.  After all particles are scored against the same
+    Personal bests take the swarm-dimension values and the new fitness on
+    strict improvement.  After all particles are scored against the same
     global-best snapshot, the single best one is merged into the global
     best if it strictly improves it.  Returns the per-particle context
-    fitness and whether the global best improved.
+    fitness and whether the global best improved.  Raises ``ValueError``
+    if ``dims`` is empty or out of range.
     """
-    dims, values, gbest = swarm.dims, swarm.positions, context.gbest_position
+    gbest = context.gbest_position
+    dims = np.asarray(dims, dtype=np.intp)
+    if dims.size == 0:
+        raise ValueError("swarm dimension set must be non-empty")
+    if dims.min() < 0 or dims.max() >= len(gbest):
+        raise ValueError("swarm dimension index out of range")
     if spec.has_terms:
-        fitness = spec.context_fitness(dims, values, gbest)
+        fitness = spec.context_fitness(dims, positions.T, gbest)
     else:
-        fitness = spec.evaluate(_context_rows(dims, values, gbest))
+        rows = np.empty((positions.shape[1], len(gbest)))
+        rows[:] = gbest
+        rows[:, dims] = positions.T
+        fitness = spec.evaluate(rows)
 
-    pbest_fitness = swarm.population.pbest_fitness
     improved = fitness < pbest_fitness
     if improved.any():
-        swarm.pbest_positions[improved] = values[improved]
+        pbest_positions[:, improved] = positions[:, improved]
         pbest_fitness[improved] = fitness[improved]
-        swarm.pbest_changed = True
 
     best = fitness.argmin()
     if fitness[best] < context.gbest_fitness:
-        gbest[dims] = values[best]
+        gbest[dims] = positions[:, best]
         context.gbest_fitness = float(fitness[best])
         return fitness, True
     return fitness, False
@@ -290,43 +256,56 @@ def reinforce_layers(
         dimension_automata.reinforce(slice(None), picked, improvements[picked])
 
 
-def rank_and_concentrate(
-    swarm: Swarm,
-    fitness: np.ndarray,
-    gbest_position: np.ndarray,
-    spec: BenchmarkSpec,
-    params: AioParams,
-    w: float,
-    rng: np.random.Generator,
-) -> None:
-    """Move the whole swarm; additionally perturb the non-elite particles.
+def draws_per_column(params: AioParams, population_size: int) -> int:
+    """Uniform draws per column of a move: ``r1`` and ``r2`` per particle,
+    then, if the mutation rate is not zero, a mask and a fresh value per
+    particle outside the elite."""
+    mutants = population_size - elite_count(params.elite_factor, population_size)
+    return 2 * population_size + (2 * mutants if params.mutation_rate > 0.0 else 0)
 
-    Every particle takes the standard velocity/position step restricted
-    to the swarm's dimensions.  Particles ranked below the elite cut
-    (by context fitness, ascending) then have each swarm dimension
-    resampled uniformly at ``mutation_rate``, with the velocity on
-    resampled dimensions reset to zero.  Ends by writing the swarm back
-    into its population (``Swarm.store``).
+
+def rank_and_concentrate(gathered: np.ndarray, sizes, fitness: np.ndarray, gbest_rows: np.ndarray,
+                         spec: BenchmarkSpec, params: AioParams, w: float,
+                         rng: np.random.Generator, work: np.ndarray) -> None:
+    """Move every gathered column at once; additionally perturb the non-elite.
+
+    ``gathered`` holds positions, velocities and personal bests, ``(D, n)``
+    each, swarm after swarm: ``sizes[i]`` rows for the i-th non-empty swarm,
+    whose context fitness is ``fitness[i]``; ``gbest_rows`` is the global
+    best in row order, ``(D, 1)``.  Every particle takes the velocity and
+    position step; those ranked below a swarm's elite cut then have each of
+    its columns resampled uniformly at ``mutation_rate``, with the velocity
+    there reset to zero.  The personal bests serve as a work array.
+
+    Each swarm draws its block in the order of a move of that swarm alone:
+    ``r1`` and ``r2`` (``n`` by its column count), then mask and fresh
+    values (non-elite count by column count), in one ``rng.random`` call.
+    The block is copied, transposed, into its rows of ``work``, a
+    ``(D, draws_per_column)`` array.  Fresh values use ``rng.uniform``'s
+    formula.
     """
-    pso_p = params.pso
-    positions, velocities = swarm.positions, swarm.velocities
-    update_velocities(
-        positions, velocities, swarm.pbest_positions, gbest_position[swarm.dims], w,
-        pso_p.c1, pso_p.c2, spec.upper - spec.lower, rng,
-        swarm.population.step_buffers(swarm.dims.size),
-    )
+    positions, velocities, pbest_positions = gathered
+    n = positions.shape[1]
+    width = draws_per_column(params, n)
+    factors = work.reshape(len(positions), width)
+    start = 0
+    for size in sizes:
+        factors[start:start + size] = rng.random(width * size).reshape(width, size).T
+        start += size
+
+    update_velocities(positions, velocities, pbest_positions, gbest_rows, w, params.pso.c1,
+                      params.pso.c2, spec.upper - spec.lower, factors[:, :n], factors[:, n: 2 * n],
+                      pbest_positions)
     update_positions(positions, velocities, spec.lower, spec.upper)
 
-    elite = elite_count(params.elite_factor, swarm.population.size)
-    non_elite = fitness.argsort(kind="stable")[elite:]
-    if non_elite.size > 0 and params.mutation_rate > 0.0:
-        mutate = rng.random((non_elite.size, swarm.dims.size)) < params.mutation_rate
-        fresh = rng.uniform(spec.lower, spec.upper, size=mutate.shape)
-        rows, cols = mutate.nonzero()
-        hit = non_elite[rows], cols
-        positions[hit] = fresh[rows, cols]
+    mutants = (width - 2 * n) // 2
+    if mutants:
+        non_elite = fitness.argsort(axis=1, kind="stable")[:, n - mutants:]
+        rows, ranks = (factors[:, 2 * n: 2 * n + mutants] < params.mutation_rate).nonzero()
+        hit = rows, non_elite[np.repeat(np.arange(len(sizes)), sizes)[rows], ranks]
+        fresh = factors[rows, 2 * n + mutants + ranks]
+        positions[hit] = spec.lower + (spec.upper - spec.lower) * fresh
         velocities[hit] = 0.0
-    swarm.store()
 
 
 def choose_cycle(context: ContextState) -> str:
@@ -344,29 +323,50 @@ def aio_step(
     """One full iteration over all swarms; returns the global best fitness.
 
     Phase order: membership selection, population selection, cycle
-    choice, one pass over the non-empty swarms in ascending index, then
-    automata reinforcement and the guard update.  The pass copies each
-    swarm's columns once, context-evaluates them and moves them at once.
-    That gives the bits of evaluating every swarm before moving any:
-    evaluation draws no random numbers, and each swarm owns its columns,
-    so scoring a swarm reads nothing that moving an earlier swarm wrote.
+    choice, then three stages.  *Gather* each dimension's row of the
+    population its swarm chose, swarm by swarm in ascending index.
+    *Score* each non-empty swarm on its rows, in that order, and write
+    the personal bests back.  *Move* every row in one
+    ``rank_and_concentrate`` and write positions and velocities back.
+    Reinforcement and the guard update end the step.
+
+    This has the bits of scoring every swarm before moving any, one swarm
+    at a time: scoring draws no random numbers, each swarm owns its
+    columns, and a swarm's columns of the global best do not change after
+    it is scored, so every move can use the end-of-pass global best.
     """
-    k = params.swarm_count
-    partition = select_memberships(state.dimension_automata, k, spec.dims, rng)
-    partition.population_choice = select_populations(state.swarm_automata, rng)
+    k, dims = params.swarm_count, spec.dims
+    partition = select_memberships(state.dimension_automata, k, dims, rng)
+    partition.population_choice = choice = select_populations(state.swarm_automata, rng)
     w = inertia_weight(choose_cycle(state.context), iteration, params.pso)
 
+    n = state.pbest_fitness.shape[1]
+    work = state.work((3 * n + draws_per_column(params, n)) * dims)
+    gathered = work[: 3 * n * dims].reshape(3, dims, n)
+    order = np.concatenate(partition.members)
+    rows = choice[partition.assignment[order]] * dims + order
+    columns = state.columns.reshape(3, 2 * dims, n)
+    columns.take(rows, axis=1, out=gathered, mode="clip")  # "raise" would buffer the output
+
+    sizes = np.array([members.size for members in partition.members])
+    active = sizes.nonzero()[0]
+    fitness = np.empty((len(active), n))
     improvements = np.zeros(k, dtype=bool)
-    for j in range(k):
-        dims = partition.members[j]
-        if dims.size == 0:
-            continue
-        swarm = Swarm(state.population(partition.population_choice[j]), dims)
-        fitness, improvements[j] = evaluate_swarm(swarm, state.context, spec)
-        rank_and_concentrate(swarm, fitness, state.context.gbest_position, spec, params, w, rng)
+    stops = sizes.cumsum()
+    for i, j in enumerate(active):
+        block = slice(stops[j] - sizes[j], stops[j])
+        fitness[i], improvements[j] = evaluate_swarm(
+            partition.members[j], gathered[0, block], gathered[2, block],
+            state.pbest_fitness[choice[j]], state.context, spec,
+        )
+    columns[2, rows] = gathered[2]  # before the move uses these rows as work space
+
+    gbest_rows = state.context.gbest_position[order, None]
+    rank_and_concentrate(gathered, sizes[active], fitness, gbest_rows, spec, params, w, rng,
+                         work[3 * n * dims:])
+    columns[:2, rows] = gathered[:2]
 
     reinforce_layers(partition, improvements, state.dimension_automata, state.swarm_automata)
-
     state.context.improved_last_iteration = bool(improvements.any())
     return state.context.gbest_fitness
 

@@ -118,7 +118,8 @@ class AutomatonBank:
         drifted = np.abs(total - 1.0) > DRIFT_TOLERANCE
         if drifted.any():
             p[drifted] /= total[drifted, None]
-        self.probabilities[rows] = p
+        if not isinstance(rows, slice):  # a slice's rows are a view, already updated
+            self.probabilities[rows] = p
 
 
 class LearningAutomaton:

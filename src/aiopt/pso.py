@@ -80,22 +80,18 @@ class Population:
         return len(self.positions)
 
     @cached_property
-    def _work(self) -> np.ndarray:
-        # Both work arrays in one allocation, made on the first step.  At
-        # D = 1000 it is 800 KB, which glibc serves with mmap; releasing it
-        # at the end of a run raises glibc's heap trim threshold to twice
-        # that, so set-ups that follow a run keep their heap pages instead
-        # of faulting in fresh ones.
-        return np.empty((2, self.positions.size))
+    def step_buffers(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(draws, diff)`` for ``pso_step``: ``r1`` and ``r2`` as one
+        ``(2, size, D)`` array, and a ``(size, D)`` work array.
 
-    def step_buffers(self, columns: int) -> tuple[np.ndarray, np.ndarray]:
-        """Two contiguous ``(size, columns)`` work arrays for ``update_velocities``.
-
-        Views into one buffer that lives as long as the population, so
-        neither the full step nor a step on a column subset allocates them.
+        Views into one buffer, made on the first step.  At D = 1000 it is
+        1.2 MB, which glibc serves with mmap; releasing it at the end of a
+        run raises glibc's heap trim threshold to twice that, so set-ups
+        that follow a run keep their heap pages instead of faulting in
+        fresh ones.
         """
-        draw, diff = self._work[:, : self.size * columns].reshape(2, self.size, columns)
-        return draw, diff
+        work = np.empty((3,) + self.positions.shape)
+        return work[:2], work[2]
 
 
 @dataclass
@@ -156,28 +152,28 @@ def update_velocities(
     c1: float,
     c2: float,
     v_max: float,
-    rng: np.random.Generator,
-    buffers: tuple[np.ndarray, np.ndarray] | None = None,
+    r1: np.ndarray,
+    r2: np.ndarray,
+    diff: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Update ``velocities`` in place with fresh per-dimension random factors.
+    """Update ``velocities`` in place with the random factors ``r1`` and ``r2``.
 
     Computes ``w*v + c1*r1*(pbest - x) + c2*r2*(gbest - x)`` one operation
     at a time in that order, so the result has the expression's bits, then
     clamps it to v_max with the ``maximum`` and ``minimum`` ufuncs, which
-    give ``np.clip``'s bits for bounds that are not zero.  ``r1`` and then
-    ``r2`` are drawn into the first of ``buffers``, two float64 work arrays
-    shaped like ``positions`` (fresh ones when omitted); the second holds
-    the differences.  Returns ``velocities``.
+    give ``np.clip``'s bits for bounds that are not zero.  ``r1`` and
+    ``r2`` are overwritten by the two attraction terms.  ``diff`` is a
+    float64 work array shaped like ``positions`` (a fresh one when
+    omitted); it may be ``pbest_positions`` itself, which then ends up
+    holding ``gbest - x``.  Returns ``velocities``.
     """
-    draw, diff = buffers if buffers is not None else (
-        np.empty(positions.shape), np.empty(positions.shape)
-    )
+    if diff is None:
+        diff = np.empty(positions.shape)
     np.multiply(w, velocities, out=velocities)
-    for c, best in ((c1, pbest_positions), (c2, gbest_position)):
-        rng.random(out=draw)
-        np.multiply(c, draw, out=draw)
-        np.multiply(draw, np.subtract(best, positions, out=diff), out=draw)
-        np.add(velocities, draw, out=velocities)
+    for c, r, best in ((c1, r1, pbest_positions), (c2, r2, gbest_position)):
+        np.multiply(c, r, out=r)
+        np.multiply(r, np.subtract(best, positions, out=diff), out=r)
+        np.add(velocities, r, out=velocities)
     np.maximum(velocities, -v_max, out=velocities)
     np.minimum(velocities, v_max, out=velocities)
     return velocities
@@ -225,6 +221,8 @@ def pso_step(
             fitness=float(population.pbest_fitness[best]),
         )
     w = inertia_weight(params.inertia_mode, iteration, params)
+    draws, diff = population.step_buffers
+    rng.random(out=draws)
     update_velocities(
         population.positions,
         population.velocities,
@@ -234,8 +232,9 @@ def pso_step(
         params.c1,
         params.c2,
         spec.upper - spec.lower,
-        rng,
-        population.step_buffers(spec.dims),
+        draws[0],
+        draws[1],
+        diff,
     )
     update_positions(population.positions, population.velocities, spec.lower, spec.upper)
     return gbest

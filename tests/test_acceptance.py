@@ -27,7 +27,7 @@ from aiopt import (
     sphere,
     write_csv,
 )
-from aiopt.aio import ContextState, Swarm, evaluate_swarm, init_aio_state
+from aiopt.aio import ContextState, evaluate_swarm, init_aio_state
 from aiopt.pso import Population, inertia_weight
 
 BENCHMARKS = ("sphere", "rosenbrock", "ackley", "griewank", "rastrigin")
@@ -143,7 +143,9 @@ def test_05_full_cover_context_evaluation_is_exact():
         gbest = rng.uniform(spec.lower, spec.upper, 30)
         context = ContextState(gbest_position=gbest.copy(),
                                gbest_fitness=float(spec.evaluate(gbest)))
-        fitness, _ = evaluate_swarm(Swarm(population, np.arange(30)), context, spec)
+        fitness, _ = evaluate_swarm(np.arange(30), population.positions.T,
+                                    population.pbest_positions.T, population.pbest_fitness,
+                                    context, spec)
         direct = np.asarray(spec.evaluate(positions))
         if not np.array_equal(fitness, direct):
             exact = False

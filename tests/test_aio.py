@@ -1,8 +1,10 @@
 """Adaptive optimizer: partitioning, context evaluation, reinforcement wiring,
 concentration, and full-run contracts."""
+import copy
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import aiopt.aio as aio
@@ -11,10 +13,9 @@ from aiopt.aio import (
     POP_A,
     POP_B,
     ContextState,
-    Swarm,
     SwarmPartition,
     choose_cycle,
-    context_vector,
+    draws_per_column,
     elite_count,
     evaluate_swarm,
     rank_and_concentrate,
@@ -26,6 +27,7 @@ from aiopt.automata import AutomatonBank
 from aiopt.benchmarks import FUNCTIONS
 from aiopt.pso import (
     Population,
+    SwarmBest,
     inertia_weight,
     init_population,
     pso_step,
@@ -57,17 +59,40 @@ def make_population(positions, fitness=None):
     )
 
 
+def context_vector(swarm_dims, particle_values, gbest_position):
+    """Reference: the global best with the swarm's dimensions replaced by
+    particle values; a 2-D batch of values gives one context row per row."""
+    gbest_position = np.asarray(gbest_position, dtype=np.float64)
+    swarm_dims = np.asarray(swarm_dims, dtype=np.intp)
+    if swarm_dims.size == 0:
+        raise ValueError("swarm dimension set must be non-empty")
+    if swarm_dims.min() < 0 or swarm_dims.max() >= len(gbest_position):
+        raise ValueError("swarm dimension index out of range")
+    particle_values = np.asarray(particle_values)
+    rows = np.empty(particle_values.shape[:-1] + gbest_position.shape)
+    rows[...] = gbest_position
+    rows[..., swarm_dims] = particle_values
+    return rows
+
+
 def evaluate(dims, population, context, spec):
     """``evaluate_swarm`` on the columns ``dims`` of ``population``, written back."""
-    swarm = Swarm(population, dims)
-    result = evaluate_swarm(swarm, context, spec)
-    swarm.store()
+    pbest = population.pbest_positions[:, dims].T
+    result = evaluate_swarm(dims, population.positions[:, dims].T, pbest,
+                            population.pbest_fitness, context, spec)
+    population.pbest_positions[:, dims] = pbest.T
     return result
 
 
 def concentrate(dims, population, fitness, gbest, spec, params, w, rng):
-    """``rank_and_concentrate`` on the columns ``dims`` of ``population``."""
-    rank_and_concentrate(Swarm(population, dims), fitness, gbest, spec, params, w, rng)
+    """``rank_and_concentrate`` on the columns ``dims`` of ``population``, as one swarm."""
+    gathered = np.stack([population.positions[:, dims].T, population.velocities[:, dims].T,
+                         population.pbest_positions[:, dims].T])
+    work = np.empty(len(dims) * draws_per_column(params, population.size))
+    rank_and_concentrate(gathered, [len(dims)], fitness[None], gbest[dims, None], spec, params,
+                         w, rng, work)
+    population.positions[:, dims] = gathered[0].T
+    population.velocities[:, dims] = gathered[1].T
 
 
 # ------------------------------------------------------------------- params
@@ -455,7 +480,8 @@ def test_zero_mutation_rate_is_a_plain_swarm_move():
     vel = update_velocities(
         pos, reference.velocities[:, swarm_dims],
         reference.pbest_positions[:, swarm_dims], gbest[swarm_dims],
-        0.7, params.pso.c1, params.pso.c2, spec.upper - spec.lower, mirror,
+        0.7, params.pso.c1, params.pso.c2, spec.upper - spec.lower,
+        *mirror.random((2, population.size, swarm_dims.size)),
     )
     pos = update_positions(pos, vel, spec.lower, spec.upper)
     np.testing.assert_array_equal(population.positions[:, swarm_dims], pos)
@@ -619,7 +645,7 @@ def reference_concentrate(swarm_dims, population, fitness, gbest_position, spec,
     pbest = population.pbest_positions[:, swarm_dims]
     velocities = update_velocities(
         positions, velocities, pbest, gbest_position[swarm_dims], w, pso_p.c1, pso_p.c2,
-        spec.upper - spec.lower, rng,
+        spec.upper - spec.lower, *rng.random((2,) + positions.shape),
     )
     positions = update_positions(positions, velocities, spec.lower, spec.upper)
     order = np.argsort(fitness, kind="stable")
@@ -670,18 +696,29 @@ def state_bytes(state, rng):
             state.context.improved_last_iteration, rng.bit_generator.state)
 
 
+@st.composite
+def step_shapes(draw):
+    """(dims, swarm count, population size, elite factor) of a step test."""
+    dims = draw(st.integers(2, 40))
+    swarms = draw(st.integers(1, min(dims, 7)))
+    size = draw(st.integers(2, 12))
+    return dims, swarms, size, draw(st.sampled_from([1 / size, 0.5, 2 / 3, 1.0]))
+
+
 @settings(deadline=None, max_examples=60)
 @given(
     name=st.sampled_from(sorted(FUNCTIONS)),
-    data=st.data(),
-    size=st.integers(2, 12),
+    shape=step_shapes(),
     mutation_rate=st.sampled_from([0.0, 0.05, 0.1, 0.5, 1.0]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_single_pass_step_equals_the_two_pass_reference(name, data, size, mutation_rate, seed):
-    dims = data.draw(st.integers(2, 40), label="dims")
-    swarms = data.draw(st.integers(1, min(dims, 7)), label="swarms")
-    elite_factor = data.draw(st.sampled_from([1 / size, 0.5, 2 / 3, 1.0]), label="elite_factor")
+# The benchmark's step shapes, and seven swarms on eight dimensions, which
+# leaves some swarm empty in some step.
+@example(name="rastrigin", shape=(100, 5, 50, 2 / 3), mutation_rate=0.1, seed=1)
+@example(name="rosenbrock", shape=(30, 5, 50, 2 / 3), mutation_rate=0.1, seed=2)
+@example(name="sphere", shape=(8, 7, 6, 0.5), mutation_rate=0.5, seed=3)
+def test_single_pass_step_equals_the_two_pass_reference(name, shape, mutation_rate, seed):
+    dims, swarms, size, elite_factor = shape
     spec = lookup(name, dims)
     params = AioParams(swarm_count=swarms, elite_factor=elite_factor, mutation_rate=mutation_rate,
                        pso=PsoParams(population_size=size, max_iterations=20))
@@ -696,7 +733,9 @@ def test_single_pass_step_equals_the_two_pass_reference(name, data, size, mutati
 
 def test_step_calls_each_half_once_per_non_empty_swarm(monkeypatch):
     """The step reaches its phases through ``aiopt.aio`` attributes, so
-    wrappers put there (as the benchmark's tracer does) see every call."""
+    wrappers put there (as the benchmark's tracer does) see every call.
+    Scoring runs once per non-empty swarm; the move runs once per step,
+    whatever the swarm count."""
     calls = []
     partitions = []
 
@@ -720,15 +759,40 @@ def test_step_calls_each_half_once_per_non_empty_swarm(monkeypatch):
     for i in range(12):
         aio_step(state, spec, params, i, rng)
 
-    per_swarm = ["evaluate_swarm", "rank_and_concentrate", "update_velocities",
-                 "update_positions"]
+    move = ["rank_and_concentrate", "update_velocities", "update_positions"]
     expected = []
     for partition in partitions:
         active = sum(1 for dims in partition.members if dims.size)
-        expected += ["select_memberships"] + per_swarm * active
+        expected += ["select_memberships"] + ["evaluate_swarm"] * active + move
     assert calls == expected
     # six dimensions over five swarms leave some swarm empty in some step
     assert any(dims.size == 0 for partition in partitions for dims in partition.members)
+
+
+def test_population_views_write_through():
+    """A value written into ``pop_b`` is the one the next step scores and moves."""
+    spec = lookup("sphere", 5)
+    pso_p = PsoParams(population_size=6, max_iterations=10, inertia_mode="slow")
+    params = AioParams(swarm_count=1, elite_factor=1.0, mutation_rate=0.0, pso=pso_p)
+    rng = np.random.default_rng(8)
+    state = init_aio_state(spec, params, rng)
+    force(state.swarm_automata[0], [0.0, 1.0])  # always population B
+    state.pop_b.positions[2] = 0.0  # the optimum
+    view = state.pop_b
+    reference = Population(view.positions.copy(), view.velocities.copy(),
+                           view.pbest_positions.copy(), view.pbest_fitness.copy())
+    gbest = SwarmBest(state.context.gbest_position.copy(), state.context.gbest_fitness)
+    mirror = copy.deepcopy(rng)
+
+    aio_step(state, spec, params, 0, rng)
+    mirror.random()  # the population-selection draw
+    gbest = pso_step(reference, gbest, spec, pso_p, 0, mirror)
+
+    assert state.context.gbest_fitness == gbest.fitness == 0.0
+    assert state.pop_b.pbest_fitness[2] == 0.0
+    np.testing.assert_array_equal(state.pop_b.positions, reference.positions)
+    np.testing.assert_array_equal(state.pop_b.velocities, reference.velocities)
+
 
 # -------------------------------------------------------------------- runs
 

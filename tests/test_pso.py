@@ -16,17 +16,9 @@ from aiopt.pso import (
 )
 
 
-class ConstantRng:
-    """Stand-in random stream returning a fixed value for every draw."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def random(self, shape=None, out=None):
-        if out is not None:
-            out[...] = self.value
-            return out
-        return self.value if shape is None else np.full(shape, self.value)
+def constant_factors(value, shape):
+    """``r1`` and ``r2`` for ``update_velocities``, every entry ``value``."""
+    return {"r1": np.full(shape, value), "r2": np.full(shape, value)}
 
 
 class PresetRng:
@@ -110,7 +102,7 @@ def test_velocity_update_forced_draws():
         c1=1.0,
         c2=1.0,
         v_max=100.0,
-        rng=ConstantRng(0.5),
+        **constant_factors(0.5, (1, 1)),
     )
     assert v[0, 0] == pytest.approx(3.5, abs=1e-12)
 
@@ -118,7 +110,8 @@ def test_velocity_update_forced_draws():
 def test_velocity_zero_at_consensus_point():
     x = np.array([[1.5, -2.0]])
     v = update_velocities(x, np.zeros_like(x), x.copy(), x[0].copy(),
-                          w=0.9, c1=2.0, c2=2.0, v_max=10.0, rng=ConstantRng(0.7))
+                          w=0.9, c1=2.0, c2=2.0, v_max=10.0,
+                          **constant_factors(0.7, x.shape))
     np.testing.assert_array_equal(v, np.zeros_like(x))
 
 
@@ -126,7 +119,7 @@ def test_velocity_clamped_to_v_max():
     x = np.zeros((3, 4))
     pbest = np.full((3, 4), 500.0)
     v = update_velocities(x, np.zeros_like(x), pbest, pbest[0], w=0.5,
-                          c1=2.0, c2=2.0, v_max=1.0, rng=ConstantRng(0.9))
+                          c1=2.0, c2=2.0, v_max=1.0, **constant_factors(0.9, x.shape))
     assert np.all(np.abs(v) <= 1.0)
 
 
@@ -155,7 +148,8 @@ def test_velocity_decays_geometrically_without_attraction():
     w = 0.5
     peak = np.abs(v).max()
     for _ in range(20):
-        v = update_velocities(x, v, x.copy(), x[0].copy(), w, 0.0, 0.0, 10.0, rng)
+        v = update_velocities(x, v, x.copy(), x[0].copy(), w, 0.0, 0.0, 10.0,
+                              *rng.random((2,) + x.shape))
         peak_next = np.abs(v).max()
         assert peak_next == pytest.approx(w * peak, rel=1e-12)
         peak = peak_next
@@ -194,8 +188,9 @@ def test_in_place_velocities_bit_equal_the_expression(
     expected = reference_velocities(x, v.copy(), pbest, gbest, w, c1, c2, v_max, mirror)
 
     rng = np.random.default_rng(seed + 1)
-    buffers = (np.empty(shape), np.empty(shape)) if own_buffers else None
-    result = update_velocities(x, v, pbest, gbest, w, c1, c2, v_max, rng, buffers)
+    diff = np.empty(shape) if own_buffers else None
+    r1, r2 = rng.random((2,) + shape)
+    result = update_velocities(x, v, pbest, gbest, w, c1, c2, v_max, r1, r2, diff)
     assert result is v
     assert v.tobytes() == expected.tobytes()
     # both factors came from the stream in the same order
@@ -318,15 +313,13 @@ def test_step_moves_the_population_in_place():
         assert population.positions is positions
         assert population.velocities is velocities
         assert not np.array_equal(positions, before)
-    draw, diff = population.step_buffers(spec.dims)
+    draws, diff = population.step_buffers
     pso_step(population, gbest, spec, params, 5, rng)
-    again = population.step_buffers(spec.dims)
-    assert np.shares_memory(draw, again[0]) and np.shares_memory(diff, again[1])
-    assert not np.shares_memory(draw, diff)
-    # a column subset gets contiguous views of the same memory
-    subset = population.step_buffers(3)
-    assert subset[0].shape == (8, 3) and subset[0].flags.c_contiguous
-    assert np.shares_memory(subset[0], draw)
+    again = population.step_buffers
+    assert np.shares_memory(draws, again[0]) and np.shares_memory(diff, again[1])
+    assert not np.shares_memory(draws, diff)
+    # r1 and r2 are one contiguous array, filled by one draw
+    assert draws.shape == (2, 8, 6) and draws.flags.c_contiguous
 
 
 # -------------------------------------------------------------------- runs

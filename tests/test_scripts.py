@@ -111,3 +111,17 @@ def test_bench_ab_summary_counts_pairs_and_applies_the_bound():
     # 30% slower than the parent, beyond the 25% bound
     assert setup["pairs_won_by_change"] == "0/3"
     assert not setup["within_bound"]
+
+
+def test_bench_ab_fault_summary_pools_the_set_ups_of_each_side():
+    summarize_faults = runpy.run_path(str(SCRIPTS / "bench_ab.py"))["summarize_faults"]
+
+    def runs(*counts):
+        return [{"setup_faults": list(c)} for c in counts]
+
+    out = summarize_faults({"parent": runs([466] * 10, [466] * 9 + [470]),
+                            "change": runs([692] + [0] * 9, [0] * 10)})
+    assert out["parent"] == {"q1": 466, "median": 466, "q3": 466}
+    assert out["change"] == {"q1": 0, "median": 0, "q3": 0}
+    # the CLI workload has no set-up counts
+    assert summarize_faults({"parent": runs(), "change": [{"setup_faults": None}]}) is None
