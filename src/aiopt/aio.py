@@ -83,13 +83,12 @@ class ContextState:
     improved_last_iteration: bool = False
 
 
-@dataclass
+@dataclass(frozen=True)
 class SwarmPartition:
-    """One iteration's dimension-to-swarm assignment and population choices."""
+    """One iteration's dimension-to-swarm assignment and each swarm's dimensions."""
 
     assignment: np.ndarray
     members: list[np.ndarray]
-    population_choice: np.ndarray | None = None
 
 
 @dataclass
@@ -174,9 +173,11 @@ def select_memberships(
 ) -> SwarmPartition:
     """Let each dimension's automaton pick a swarm; group dimensions by pick.
 
-    Swarms may come out empty; downstream phases skip them.
+    An empty bank (one swarm, see ``init_aio_state``) puts every dimension
+    in swarm 0 without drawing.  Swarms may come out empty; downstream
+    phases skip them.
     """
-    if swarm_count == 1:
+    if len(dimension_automata) == 0:
         assignment = np.zeros(dimension_count, dtype=np.intp)
     else:
         assignment = dimension_automata.select(rng)
@@ -195,32 +196,18 @@ def evaluate_swarm(dims: np.ndarray, positions: np.ndarray, pbest_positions: np.
 
     ``positions`` and ``pbest_positions`` are the swarm's columns of one
     population, ``(len(dims), n)``; ``pbest_fitness`` is that
-    population's.  Objectives with per-column terms score the context rows
-    from the swarm's columns (``BenchmarkSpec.context_fitness``);
-    rosenbrock, whose terms couple neighbouring columns, evaluates the full
-    context rows.  Either way the fitness has the bits of ``evaluate`` on
-    the full rows.
+    population's.  ``BenchmarkSpec.context_fitness`` scores the context
+    rows, with the bits of ``evaluate`` on the full rows.
 
     Personal bests take the swarm-dimension values and the new fitness on
     strict improvement.  After all particles are scored against the same
     global-best snapshot, the single best one is merged into the global
     best if it strictly improves it.  Returns the per-particle context
     fitness and whether the global best improved.  Raises ``ValueError``
-    if ``dims`` is empty or out of range.
+    (from ``context_fitness``) if ``dims`` is empty or out of range.
     """
     gbest = context.gbest_position
-    dims = np.asarray(dims, dtype=np.intp)
-    if dims.size == 0:
-        raise ValueError("swarm dimension set must be non-empty")
-    if dims.min() < 0 or dims.max() >= len(gbest):
-        raise ValueError("swarm dimension index out of range")
-    if spec.has_terms:
-        fitness = spec.context_fitness(dims, positions.T, gbest)
-    else:
-        rows = np.empty((positions.shape[1], len(gbest)))
-        rows[:] = gbest
-        rows[:, dims] = positions.T
-        fitness = spec.evaluate(rows)
+    fitness = spec.context_fitness(dims, positions.T, gbest)
 
     improved = fitness < pbest_fitness
     if improved.any():
@@ -237,18 +224,20 @@ def evaluate_swarm(dims: np.ndarray, positions: np.ndarray, pbest_positions: np.
 
 def reinforce_layers(
     partition: SwarmPartition,
+    choice: np.ndarray,
     improvements: np.ndarray,
     dimension_automata: AutomatonBank,
     swarm_automata: AutomatonBank,
 ) -> None:
     """Reward the automata behind improving swarms, penalize the rest.
 
-    Only automata whose selected action belongs to a non-empty swarm are
-    touched: the swarm's population automaton (at its chosen action) and
-    every dimension automaton that joined the swarm.
+    ``choice`` holds each swarm's population choice.  Only automata whose
+    selected action belongs to a non-empty swarm are touched: the swarm's
+    population automaton (at its chosen action) and every dimension
+    automaton that joined the swarm.
     """
     active = np.flatnonzero([dims.size for dims in partition.members])
-    swarm_automata.reinforce(active, partition.population_choice[active], improvements[active])
+    swarm_automata.reinforce(active, choice[active], improvements[active])
     if len(dimension_automata):
         # Each dimension belongs to the swarm its automaton picked, so that
         # swarm is non-empty: the whole membership layer is reinforced.
@@ -308,11 +297,6 @@ def rank_and_concentrate(gathered: np.ndarray, sizes, fitness: np.ndarray, gbest
         velocities[hit] = 0.0
 
 
-def choose_cycle(context: ContextState) -> str:
-    """Quick inertia decay after an improving iteration, slow otherwise."""
-    return "quick" if context.improved_last_iteration else "slow"
-
-
 def aio_step(
     state: AioState,
     spec: BenchmarkSpec,
@@ -322,13 +306,14 @@ def aio_step(
 ) -> float:
     """One full iteration over all swarms; returns the global best fitness.
 
-    Phase order: membership selection, population selection, cycle
-    choice, then three stages.  *Gather* each dimension's row of the
-    population its swarm chose, swarm by swarm in ascending index.
-    *Score* each non-empty swarm on its rows, in that order, and write
-    the personal bests back.  *Move* every row in one
-    ``rank_and_concentrate`` and write positions and velocities back.
-    Reinforcement and the guard update end the step.
+    Phase order: membership selection, population selection, the inertia
+    weight (quick decay after an improving iteration, slow otherwise),
+    then three stages.  *Gather* each dimension's row of the population
+    its swarm chose, swarm by swarm in ascending index.  *Score* each
+    non-empty swarm on its rows, in that order, and write the personal
+    bests back.  *Move* every row in one ``rank_and_concentrate`` and
+    write positions and velocities back.  Reinforcement and the guard
+    update end the step.
 
     This has the bits of scoring every swarm before moving any, one swarm
     at a time: scoring draws no random numbers, each swarm owns its
@@ -337,8 +322,9 @@ def aio_step(
     """
     k, dims = params.swarm_count, spec.dims
     partition = select_memberships(state.dimension_automata, k, dims, rng)
-    partition.population_choice = choice = select_populations(state.swarm_automata, rng)
-    w = inertia_weight(choose_cycle(state.context), iteration, params.pso)
+    choice = select_populations(state.swarm_automata, rng)
+    cycle = "quick" if state.context.improved_last_iteration else "slow"
+    w = inertia_weight(cycle, iteration, params.pso)
 
     n = state.pbest_fitness.shape[1]
     work = state.work((3 * n + draws_per_column(params, n)) * dims)
@@ -366,7 +352,8 @@ def aio_step(
                          work[3 * n * dims:])
     columns[:2, rows] = gathered[:2]
 
-    reinforce_layers(partition, improvements, state.dimension_automata, state.swarm_automata)
+    reinforce_layers(partition, choice, improvements, state.dimension_automata,
+                     state.swarm_automata)
     state.context.improved_last_iteration = bool(improvements.any())
     return state.context.gbest_fitness
 

@@ -3,10 +3,10 @@
 Five classic test functions (sphere, rosenbrock, ackley, griewank,
 rastrigin), each with its canonical search domain and a known global
 minimum of 0.  All functions accept a 1-D vector and return a float,
-or a 2-D batch of row vectors and return a 1-D array of values.  Four of
-them reduce per-column terms, so ``BenchmarkSpec.context_fitness`` can
-score points that differ from a base point on a few columns by computing
-terms for those columns only.
+or a 2-D batch of row vectors and return a 1-D array of values.
+``BenchmarkSpec.context_fitness`` scores points that differ from a base
+point on a few columns; for the four objectives that reduce per-column
+terms it computes terms for those columns only.
 """
 from __future__ import annotations
 
@@ -174,24 +174,31 @@ class BenchmarkSpec:
     def evaluate(self, x) -> float | np.ndarray:
         return FUNCTIONS[self.name](x)
 
-    @property
-    def has_terms(self) -> bool:
-        """Whether the objective is a reduction over per-column terms (see ``TERMS``)."""
-        return self.name in TERMS
-
     def context_fitness(
         self, swarm_dims: np.ndarray, values: np.ndarray, base: np.ndarray
     ) -> np.ndarray:
         """Fitness of ``base`` with columns ``swarm_dims`` set to each row of ``values``.
 
-        Bit for bit ``evaluate`` of those context rows, for objectives with
-        terms: the term matrix is the base point's term row tiled, with the
-        swarm's columns overwritten by the terms of ``values``, so the
+        Bit for bit ``evaluate`` of those context rows.  Rosenbrock, whose
+        terms couple neighbouring columns, builds the rows and evaluates
+        them.  The other objectives tile the base point's term row and
+        overwrite the swarm's columns with the terms of ``values``, so the
         kernels see one row plus the swarm's columns instead of every
-        context row.  ``swarm_dims`` must be non-empty, distinct and in
-        range.  Raises ``ValueError`` on a non-finite value, or a
-        non-finite base entry outside ``swarm_dims``.
+        context row.  ``swarm_dims`` must be distinct.  Raises
+        ``ValueError`` if it is empty or out of range, on a non-finite
+        value, or on a non-finite base entry outside ``swarm_dims``.
         """
+        swarm_dims = np.asarray(swarm_dims, dtype=np.intp)
+        n = len(base)
+        if swarm_dims.size == 0:
+            raise ValueError("swarm dimension set must be non-empty")
+        if swarm_dims.min() < 0 or swarm_dims.max() >= n:
+            raise ValueError("swarm dimension index out of range")
+        if self.name not in TERMS:
+            rows = np.empty((len(values), n))
+            rows[:] = base
+            rows[:, swarm_dims] = values
+            return self.evaluate(rows)
         terms, reduce = TERMS[self.name]
         values = np.asarray(values, dtype=np.float64)
         # The context rows replace the swarm's columns of base, so those
@@ -200,7 +207,6 @@ class BenchmarkSpec:
         base[swarm_dims] = 0.0
         if not (np.isfinite(base).all() and np.isfinite(values).all()):
             raise ValueError("input contains non-finite entries")
-        n = len(base)
         index = _index(n)
         matrices = []
         for row, part in zip(terms(base, index), terms(values, index[swarm_dims])):

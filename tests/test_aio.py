@@ -1,6 +1,7 @@
 """Adaptive optimizer: partitioning, context evaluation, reinforcement wiring,
 concentration, and full-run contracts."""
 import copy
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from aiopt.aio import (
     POP_B,
     ContextState,
     SwarmPartition,
-    choose_cycle,
     draws_per_column,
     elite_count,
     evaluate_swarm,
@@ -24,7 +24,7 @@ from aiopt.aio import (
     select_populations,
 )
 from aiopt.automata import AutomatonBank
-from aiopt.benchmarks import FUNCTIONS
+from aiopt.benchmarks import FUNCTIONS, TERMS
 from aiopt.pso import (
     Population,
     SwarmBest,
@@ -198,6 +198,14 @@ def test_single_swarm_partition_consumes_no_randomness():
     np.testing.assert_array_equal(partition.members[0], np.arange(9))
 
 
+def test_partition_is_frozen():
+    partition = select_memberships(forced_bank(np.eye(2)), 2, 2, np.random.default_rng(0))
+    with pytest.raises(FrozenInstanceError):
+        partition.assignment = np.zeros(2, dtype=np.intp)
+    with pytest.raises(FrozenInstanceError):
+        partition.members = []
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_members_are_a_disjoint_cover(seed):
     rng = np.random.default_rng(seed)
@@ -309,7 +317,7 @@ def full_context_fitness(spec, cols, values, gbest):
 
 
 def assert_context_fitness_exact(name, dims, cols, seed, particles=7):
-    """evaluate_swarm (and context_fitness, where defined) bit-equal the full rows."""
+    """evaluate_swarm and context_fitness bit-equal the full rows."""
     spec = lookup(name, dims)
     rng = np.random.default_rng(seed)
     population = make_population(rng.uniform(spec.lower, spec.upper, (particles, dims)))
@@ -321,8 +329,7 @@ def assert_context_fitness_exact(name, dims, cols, seed, particles=7):
     context = ContextState(gbest_position=gbest.copy(), gbest_fitness=-np.inf)
     fitness, _ = evaluate(cols, population, context, spec)
     assert fitness.tobytes() == expected.tobytes()
-    if spec.has_terms:
-        assert spec.context_fitness(cols, values, gbest).tobytes() == expected.tobytes()
+    assert spec.context_fitness(cols, values, gbest).tobytes() == expected.tobytes()
 
 
 @settings(deadline=None, max_examples=200)
@@ -393,17 +400,27 @@ def test_evaluate_swarm_rejects_bad_dimensions(name):
         evaluate(np.array([-1]), population, context, spec)
 
 
+@pytest.mark.parametrize("name", sorted(FUNCTIONS))
+def test_context_fitness_rejects_bad_dimensions(name):
+    spec = lookup(name, 4)
+    base = np.full(4, 0.5)
+    with pytest.raises(ValueError, match="non-empty"):
+        spec.context_fitness(np.array([], dtype=np.intp), np.empty((2, 0)), base)
+    for bad in (-1, -4, 4, 7):
+        with pytest.raises(ValueError, match="out of range"):
+            spec.context_fitness(np.array([1, bad]), np.ones((2, 2)), base)
+
+
 # -------------------------------------------------------------- reinforcement
 
 def test_reinforce_rewards_improving_swarm():
     partition = SwarmPartition(
         assignment=np.array([0, 0]),
         members=[np.array([0, 1])],
-        population_choice=np.array([POP_A]),
     )
     swarm_auto = AutomatonBank(1, 2, 0.1, 0.1)
     dim_auto = AutomatonBank(2, 2, 0.1, 0.1)
-    reinforce_layers(partition, np.array([True]), dim_auto, swarm_auto)
+    reinforce_layers(partition, np.array([POP_A]), np.array([True]), dim_auto, swarm_auto)
     np.testing.assert_allclose(swarm_auto[0].probabilities, [0.55, 0.45], atol=1e-15)
     for auto in dim_auto:
         np.testing.assert_allclose(auto.probabilities, [0.55, 0.45], atol=1e-15)
@@ -413,11 +430,10 @@ def test_reinforce_inaction_under_zero_penalty_rate():
     partition = SwarmPartition(
         assignment=np.array([0, 0]),
         members=[np.array([0, 1])],
-        population_choice=np.array([POP_B]),
     )
     swarm_auto = AutomatonBank(1, 2, 0.1, 0.0)
     dim_auto = AutomatonBank(2, 2, 0.1, 0.0)
-    reinforce_layers(partition, np.array([False]), dim_auto, swarm_auto)
+    reinforce_layers(partition, np.array([POP_B]), np.array([False]), dim_auto, swarm_auto)
     np.testing.assert_array_equal(swarm_auto[0].probabilities, [0.5, 0.5])
     for auto in dim_auto:
         np.testing.assert_array_equal(auto.probabilities, [0.5, 0.5])
@@ -427,11 +443,11 @@ def test_reinforce_skips_empty_swarms():
     partition = SwarmPartition(
         assignment=np.zeros(3, dtype=int),
         members=[np.arange(3), np.array([], dtype=int)],
-        population_choice=np.array([POP_A, POP_B]),
     )
     swarm_auto = AutomatonBank(2, 2, 0.1, 0.1)
     dim_auto = AutomatonBank(3, 2, 0.1, 0.1)
-    reinforce_layers(partition, np.array([False, False]), dim_auto, swarm_auto)
+    reinforce_layers(partition, np.array([POP_A, POP_B]), np.array([False, False]), dim_auto,
+                     swarm_auto)
     # swarm 1 was empty: its automaton is untouched
     np.testing.assert_array_equal(swarm_auto[1].probabilities, [0.5, 0.5])
     assert not np.array_equal(swarm_auto[0].probabilities, [0.5, 0.5])
@@ -441,11 +457,11 @@ def test_reinforce_penalizes_only_member_dimension_automata():
     partition = SwarmPartition(
         assignment=np.array([0, 1, 0]),
         members=[np.array([0, 2]), np.array([1])],
-        population_choice=np.array([POP_A, POP_A]),
     )
     swarm_auto = AutomatonBank(2, 2, 0.1, 0.1)
     dim_auto = AutomatonBank(3, 2, 0.1, 0.1)
-    reinforce_layers(partition, np.array([True, False]), dim_auto, swarm_auto)
+    reinforce_layers(partition, np.array([POP_A, POP_A]), np.array([True, False]), dim_auto,
+                     swarm_auto)
     # dims 0 and 2 rewarded at action 0, dim 1 penalized at action 1
     assert dim_auto[0].probabilities[0] > 0.5
     assert dim_auto[2].probabilities[0] > 0.5
@@ -529,11 +545,27 @@ def test_certain_mutation_resamples_non_elite_in_bounds():
 
 # ------------------------------------------------------------------ stepping
 
-def test_cycle_choice_follows_the_guard():
-    improved = ContextState(np.zeros(2), 1.0, improved_last_iteration=True)
-    stagnant = ContextState(np.zeros(2), 1.0, improved_last_iteration=False)
-    assert choose_cycle(improved) == "quick"
-    assert choose_cycle(stagnant) == "slow"
+def test_cycle_choice_follows_the_guard(monkeypatch):
+    """Each step decays the inertia quickly exactly when the step before it
+    improved the global best; the first step decays slowly."""
+    modes = []
+
+    def recording_inertia_weight(mode, iteration, params):
+        modes.append(mode)
+        return inertia_weight(mode, iteration, params)
+
+    monkeypatch.setattr(aio, "inertia_weight", recording_inertia_weight)
+    spec = lookup("sphere", 6)
+    params = AioParams(swarm_count=2, pso=PsoParams(population_size=8, max_iterations=40))
+    rng = np.random.default_rng(5)
+    state = init_aio_state(spec, params, rng)
+    values = [state.context.gbest_fitness]
+    for i in range(40):
+        values.append(aio_step(state, spec, params, i, rng))
+
+    improved = [False] + [after < before for before, after in zip(values[:-2], values[1:-1])]
+    assert modes == ["quick" if flag else "slow" for flag in improved]
+    assert {"quick", "slow"} <= set(modes)
 
 
 def test_single_swarm_step_equals_full_dimension_pso_step():
@@ -617,7 +649,7 @@ def reference_evaluate(swarm_dims, population, context, spec):
     """Context evaluation of one swarm straight on the whole population."""
     gbest = context.gbest_position
     values = population.positions[:, swarm_dims]
-    if spec.has_terms:
+    if spec.name in TERMS:
         fitness = spec.context_fitness(swarm_dims, values, gbest)
     else:
         fitness = spec.evaluate(context_vector(swarm_dims, values, gbest))
@@ -663,22 +695,24 @@ def reference_step(state, spec, params, iteration, rng):
     """All evaluations, then reinforcement, then all concentrations."""
     k = params.swarm_count
     partition = select_memberships(state.dimension_automata, k, spec.dims, rng)
-    partition.population_choice = select_populations(state.swarm_automata, rng)
-    w = inertia_weight(choose_cycle(state.context), iteration, params.pso)
+    choice = select_populations(state.swarm_automata, rng)
+    w = inertia_weight("quick" if state.context.improved_last_iteration else "slow", iteration,
+                       params.pso)
     improvements = np.zeros(k, dtype=bool)
     swarm_fitness = [None] * k
     for j in range(k):
         dims = partition.members[j]
         if dims.size:
-            population = state.population(partition.population_choice[j])
+            population = state.population(choice[j])
             swarm_fitness[j], improvements[j] = reference_evaluate(
                 dims, population, state.context, spec
             )
-    reinforce_layers(partition, improvements, state.dimension_automata, state.swarm_automata)
+    reinforce_layers(partition, choice, improvements, state.dimension_automata,
+                     state.swarm_automata)
     for j in range(k):
         dims = partition.members[j]
         if dims.size:
-            population = state.population(partition.population_choice[j])
+            population = state.population(choice[j])
             reference_concentrate(dims, population, swarm_fitness[j],
                                   state.context.gbest_position, spec, params, w, rng)
     state.context.improved_last_iteration = bool(improvements.any())
