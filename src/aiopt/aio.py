@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .automata import AutomatonBank
+from .automata import AutomatonBank, rate_rules
 from .benchmarks import BenchmarkSpec
 from .errors import check
 from .pso import (
@@ -62,10 +62,7 @@ class AioParams:
              f"<elite-factor> must be > 0 and <= 1, got {self.elite_factor}"),
             (0.0 <= self.mutation_rate <= 1.0,
              f"<mutation-rate> must be >= 0 and <= 1, got {self.mutation_rate}"),
-            (0.0 <= self.la_reward <= 1.0,
-             f"<la-reward> must be >= 0 and <= 1, got {self.la_reward}"),
-            (0.0 <= self.la_penalty <= 1.0,
-             f"<la-penalty> must be >= 0 and <= 1, got {self.la_penalty}"),
+            *rate_rules(self.la_reward, self.la_penalty),
         )
 
 

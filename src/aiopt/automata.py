@@ -10,7 +10,7 @@ and reward-epsilon-penalty when a is much larger than b.
 Automata that share an action count and rates live as the rows of one
 ``AutomatonBank``, which selects and reinforces many rows per numpy call.
 A ``LearningAutomaton`` is a single row of a bank, so both share one
-update rule.
+update rule; row ``i`` of a bank is ``bank.probabilities[i]``.
 """
 from __future__ import annotations
 
@@ -25,6 +25,12 @@ PENALTY = 1
 DRIFT_TOLERANCE = 1e-12
 
 
+def rate_rules(reward_rate: float, penalty_rate: float) -> list[tuple[bool, str]]:
+    """The learning-rate rules, for ``check``; each message names its XML tag."""
+    return [(0.0 <= reward_rate <= 1.0, f"<la-reward> must be >= 0 and <= 1, got {reward_rate}"),
+            (0.0 <= penalty_rate <= 1.0, f"<la-penalty> must be >= 0 and <= 1, got {penalty_rate}")]
+
+
 class AutomatonBank:
     """``count`` automata over ``action_count`` actions: one probability row each.
 
@@ -37,23 +43,14 @@ class AutomatonBank:
     """
 
     def __init__(self, count: int, action_count: int, reward_rate: float, penalty_rate: float):
-        check(
-            (action_count >= 2, f"automaton needs at least 2 actions, got {action_count}"),
-            (0.0 <= reward_rate <= 1.0, f"<la-reward> must be >= 0 and <= 1, got {reward_rate}"),
-            (0.0 <= penalty_rate <= 1.0,
-             f"<la-penalty> must be >= 0 and <= 1, got {penalty_rate}"),
-        )
+        check((action_count >= 2, f"automaton needs at least 2 actions, got {action_count}"),
+              *rate_rules(reward_rate, penalty_rate))
         self.reward_rate = float(reward_rate)
         self.penalty_rate = float(penalty_rate)
         self.probabilities = np.full((count, action_count), 1.0 / action_count)
 
     def __len__(self) -> int:
         return len(self.probabilities)
-
-    def __getitem__(self, row: int) -> LearningAutomaton:
-        if not 0 <= row < len(self):
-            raise IndexError(f"row {row} out of range for {len(self)} automata")
-        return LearningAutomaton.row_of(self, row)
 
     def __iter__(self):
         return (LearningAutomaton.row_of(self, row) for row in range(len(self)))
@@ -86,15 +83,16 @@ class AutomatonBank:
         """Update each listed row at its action; ``rewarded`` is a bool per row.
 
         ``rows`` is a slice or an array of distinct row indices.  Rows not
-        listed are left untouched.
+        listed are left untouched.  Raises ``ValueError`` unless ``actions``
+        are integers in range and it and ``rewarded`` have one entry per row.
         """
-        actions = np.asarray(actions, dtype=np.intp)
+        actions = np.asarray(actions)
         r = self.action_count
-        if actions.size and (actions.min() < 0 or actions.max() >= r):
-            raise ValueError(
-                f"actions must be in [0, {r}), got {actions.min()} to {actions.max()}"
-            )
-        self._update(rows, actions, np.asarray(rewarded, dtype=bool))
+        if actions.size and (actions.dtype.kind not in "iu" or actions.min() < 0
+                             or actions.max() >= r):
+            raise ValueError(f"actions must be integers in [0, {r}), got {actions.dtype} "
+                             f"{actions.min()} to {actions.max()}")
+        self._update(rows, actions.astype(np.intp, copy=False), np.asarray(rewarded, dtype=bool))
 
     def _update(self, rows, actions: np.ndarray, rewarded: np.ndarray) -> None:
         """The linear reinforcement rule on checked actions.
@@ -107,6 +105,9 @@ class AutomatonBank:
         """
         a, b = self.reward_rate, self.penalty_rate
         p = self.probabilities[rows]
+        if actions.shape != (len(p),) or rewarded.shape != (len(p),):
+            raise ValueError(f"need one action and one signal for each of {len(p)} rows, "
+                             f"got {actions.shape} and {rewarded.shape}")
         picked = (np.arange(len(p)), actions)
         old = p[picked]
         chosen = np.where(rewarded, old + a * (1.0 - old), old * (1.0 - b))
@@ -125,8 +126,8 @@ class AutomatonBank:
 class LearningAutomaton:
     """One automaton: a single row of an ``AutomatonBank``.
 
-    Constructed directly it owns a one-row bank; ``bank[i]`` gives a view
-    whose ``probabilities`` write through to the bank's row ``i``.
+    Constructed directly it owns a one-row bank; iterating a bank gives
+    one view per row, whose ``probabilities`` write through to that row.
     """
 
     def __init__(self, action_count: int, reward_rate: float, penalty_rate: float):
@@ -154,6 +155,8 @@ class LearningAutomaton:
 
     def reinforce(self, action: int, signal: int) -> None:
         """Update the probability vector for the given action and signal."""
+        if isinstance(action, bool) or not isinstance(action, (int, np.integer)):
+            raise ValueError(f"action must be an integer, got {action!r}")
         if not 0 <= action < self.action_count:
             raise ValueError(f"action {action} out of range for {self.action_count} actions")
         if signal not in (REWARD, PENALTY):

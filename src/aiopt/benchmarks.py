@@ -184,14 +184,20 @@ class BenchmarkSpec:
         them.  The other objectives tile the base point's term row and
         overwrite the swarm's columns with the terms of ``values``, so the
         kernels see one row plus the swarm's columns instead of every
-        context row.  ``swarm_dims`` must be distinct.  Raises
-        ``ValueError`` if it is empty or out of range, on a non-finite
-        value, or on a non-finite base entry outside ``swarm_dims``.
+        context row.  ``swarm_dims`` must be distinct.  Raises ``ValueError``
+        unless it is a non-empty list of in-range integers, one per column of
+        the 2-D ``values``, and on a non-finite value or a non-finite base
+        entry outside ``swarm_dims``.
         """
-        swarm_dims = np.asarray(swarm_dims, dtype=np.intp)
+        swarm_dims = np.asarray(swarm_dims)
+        values = np.asarray(values, dtype=np.float64)
         n = len(base)
         if swarm_dims.size == 0:
             raise ValueError("swarm dimension set must be non-empty")
+        if (swarm_dims.dtype.kind not in "iu" or values.ndim != 2
+                or values.shape[1:] != swarm_dims.shape):
+            raise ValueError(f"need integer swarm dimensions and a column of values for each, "
+                             f"got {swarm_dims.dtype} {swarm_dims.shape} and {values.shape}")
         if swarm_dims.min() < 0 or swarm_dims.max() >= n:
             raise ValueError("swarm dimension index out of range")
         if self.name not in TERMS:
@@ -200,7 +206,6 @@ class BenchmarkSpec:
             rows[:, swarm_dims] = values
             return self.evaluate(rows)
         terms, reduce = TERMS[self.name]
-        values = np.asarray(values, dtype=np.float64)
         # The context rows replace the swarm's columns of base, so those
         # entries are neither checked nor passed to a kernel.
         base = np.array(base, dtype=np.float64)

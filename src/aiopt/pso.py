@@ -46,10 +46,14 @@ class PsoParams:
             (self.w_min >= 0, f"<w-min> must be >= 0, got {self.w_min}"),
             (self.w_min < self.w_max,
              f"<w-min> must be < <w-max>, got {self.w_min} >= {self.w_max}"),
-            (self.population_size >= 2,
-             f"<population-size> must be >= 2, got {self.population_size}"),
+            population_size_rule(self.population_size),
             (self.max_iterations >= 0, f"<iterations> must be >= 0, got {self.max_iterations}"),
         )
+
+
+def population_size_rule(size: int) -> tuple[bool, str]:
+    """A swarm needs at least two particles; a rule for ``check``."""
+    return size >= 2, f"<population-size> must be >= 2, got {size}"
 
 
 def velocity_rule(params: PsoParams, lower: float, upper: float) -> tuple[bool, str]:
@@ -74,10 +78,6 @@ class Population:
     velocities: np.ndarray
     pbest_positions: np.ndarray
     pbest_fitness: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return len(self.positions)
 
     @cached_property
     def step_buffers(self) -> tuple[np.ndarray, np.ndarray]:
@@ -114,7 +114,7 @@ def init_population(spec: BenchmarkSpec, size: int, rng: np.random.Generator):
 
     Returns the population together with the best initial particle.
     """
-    check((size >= 2, f"<population-size> must be >= 2, got {size}"))
+    check(population_size_rule(size))
     positions = rng.uniform(spec.lower, spec.upper, size=(size, spec.dims))
     fitness = np.asarray(spec.evaluate(positions), dtype=np.float64)
     population = Population(
@@ -154,7 +154,7 @@ def update_velocities(
     v_max: float,
     r1: np.ndarray,
     r2: np.ndarray,
-    diff: np.ndarray | None = None,
+    diff: np.ndarray,
 ) -> np.ndarray:
     """Update ``velocities`` in place with the random factors ``r1`` and ``r2``.
 
@@ -162,13 +162,11 @@ def update_velocities(
     at a time in that order, so the result has the expression's bits, then
     clamps it to v_max with the ``maximum`` and ``minimum`` ufuncs, which
     give ``np.clip``'s bits for bounds that are not zero.  ``r1`` and
-    ``r2`` are overwritten by the two attraction terms.  ``diff`` is a
-    float64 work array shaped like ``positions`` (a fresh one when
-    omitted); it may be ``pbest_positions`` itself, which then ends up
-    holding ``gbest - x``.  Returns ``velocities``.
+    ``r2`` are overwritten by the two attraction terms.  ``diff`` is the
+    caller's float64 work array shaped like ``positions``; it may be
+    ``pbest_positions`` itself, which then ends up holding ``gbest - x``.
+    Returns ``velocities``.
     """
-    if diff is None:
-        diff = np.empty(positions.shape)
     np.multiply(w, velocities, out=velocities)
     for c, r, best in ((c1, r1, pbest_positions), (c2, r2, gbest_position)):
         np.multiply(c, r, out=r)

@@ -88,7 +88,7 @@ def concentrate(dims, population, fitness, gbest, spec, params, w, rng):
     """``rank_and_concentrate`` on the columns ``dims`` of ``population``, as one swarm."""
     gathered = np.stack([population.positions[:, dims].T, population.velocities[:, dims].T,
                          population.pbest_positions[:, dims].T])
-    work = np.empty(len(dims) * draws_per_column(params, population.size))
+    work = np.empty(len(dims) * draws_per_column(params, len(population.positions)))
     rank_and_concentrate(gathered, [len(dims)], fitness[None], gbest[dims, None], spec, params,
                          w, rng, work)
     population.positions[:, dims] = gathered[0].T
@@ -411,6 +411,28 @@ def test_context_fitness_rejects_bad_dimensions(name):
             spec.context_fitness(np.array([1, bad]), np.ones((2, 2)), base)
 
 
+@pytest.mark.parametrize("name", sorted(FUNCTIONS))
+def test_context_fitness_rejects_malformed_arguments(name):
+    """Term objectives and rosenbrock alike: no truncated column, no mask read as
+    indices, and no broadcast of values over the swarm's columns."""
+    spec = lookup(name, 5)
+    base = np.zeros(5)
+    malformed = [
+        ([1, 2, 3], np.array([1.0, 2.0, 3.0])),  # 1-D values
+        ([1, 2, 3], np.ones((2, 1))),  # one column for three dimensions
+        (np.array([1.7]), np.ones((2, 1))),  # a non-integer column
+        (np.array([True, True, False, False, False]), np.ones((2, 2))),  # a mask
+        (np.array([[1, 2]]), np.ones((2, 2))),  # 2-D columns
+    ]
+    for swarm_dims, values in malformed:
+        with pytest.raises(ValueError, match="integer swarm dimensions"):
+            spec.context_fitness(swarm_dims, values, base)
+    with pytest.raises(ValueError, match="non-empty"):
+        spec.context_fitness([], np.empty((2, 0)), base)
+    expected = full_context_fitness(spec, np.array([1, 2]), np.ones((3, 2)), base)
+    assert spec.context_fitness([1, 2], np.ones((3, 2)), base).tobytes() == expected.tobytes()
+
+
 # -------------------------------------------------------------- reinforcement
 
 def test_reinforce_rewards_improving_swarm():
@@ -421,7 +443,7 @@ def test_reinforce_rewards_improving_swarm():
     swarm_auto = AutomatonBank(1, 2, 0.1, 0.1)
     dim_auto = AutomatonBank(2, 2, 0.1, 0.1)
     reinforce_layers(partition, np.array([POP_A]), np.array([True]), dim_auto, swarm_auto)
-    np.testing.assert_allclose(swarm_auto[0].probabilities, [0.55, 0.45], atol=1e-15)
+    np.testing.assert_allclose(swarm_auto.probabilities[0], [0.55, 0.45], atol=1e-15)
     for auto in dim_auto:
         np.testing.assert_allclose(auto.probabilities, [0.55, 0.45], atol=1e-15)
 
@@ -434,7 +456,7 @@ def test_reinforce_inaction_under_zero_penalty_rate():
     swarm_auto = AutomatonBank(1, 2, 0.1, 0.0)
     dim_auto = AutomatonBank(2, 2, 0.1, 0.0)
     reinforce_layers(partition, np.array([POP_B]), np.array([False]), dim_auto, swarm_auto)
-    np.testing.assert_array_equal(swarm_auto[0].probabilities, [0.5, 0.5])
+    np.testing.assert_array_equal(swarm_auto.probabilities[0], [0.5, 0.5])
     for auto in dim_auto:
         np.testing.assert_array_equal(auto.probabilities, [0.5, 0.5])
 
@@ -449,8 +471,8 @@ def test_reinforce_skips_empty_swarms():
     reinforce_layers(partition, np.array([POP_A, POP_B]), np.array([False, False]), dim_auto,
                      swarm_auto)
     # swarm 1 was empty: its automaton is untouched
-    np.testing.assert_array_equal(swarm_auto[1].probabilities, [0.5, 0.5])
-    assert not np.array_equal(swarm_auto[0].probabilities, [0.5, 0.5])
+    np.testing.assert_array_equal(swarm_auto.probabilities[1], [0.5, 0.5])
+    assert not np.array_equal(swarm_auto.probabilities[0], [0.5, 0.5])
 
 
 def test_reinforce_penalizes_only_member_dimension_automata():
@@ -463,9 +485,9 @@ def test_reinforce_penalizes_only_member_dimension_automata():
     reinforce_layers(partition, np.array([POP_A, POP_A]), np.array([True, False]), dim_auto,
                      swarm_auto)
     # dims 0 and 2 rewarded at action 0, dim 1 penalized at action 1
-    assert dim_auto[0].probabilities[0] > 0.5
-    assert dim_auto[2].probabilities[0] > 0.5
-    assert dim_auto[1].probabilities[1] < 0.5
+    assert dim_auto.probabilities[0, 0] > 0.5
+    assert dim_auto.probabilities[2, 0] > 0.5
+    assert dim_auto.probabilities[1, 1] < 0.5
 
 
 # ------------------------------------------------------------- concentration
@@ -497,7 +519,7 @@ def test_zero_mutation_rate_is_a_plain_swarm_move():
         pos, reference.velocities[:, swarm_dims],
         reference.pbest_positions[:, swarm_dims], gbest[swarm_dims],
         0.7, params.pso.c1, params.pso.c2, spec.upper - spec.lower,
-        *mirror.random((2, population.size, swarm_dims.size)),
+        *mirror.random((2, len(population.positions), swarm_dims.size)), np.empty(pos.shape),
     )
     pos = update_positions(pos, vel, spec.lower, spec.upper)
     np.testing.assert_array_equal(population.positions[:, swarm_dims], pos)
@@ -575,7 +597,7 @@ def test_single_swarm_step_equals_full_dimension_pso_step():
 
     rng = np.random.default_rng(31)
     state = init_aio_state(spec, params, rng)
-    force(state.swarm_automata[0], [1.0, 0.0])  # always population A
+    state.swarm_automata.probabilities[0] = [1.0, 0.0]  # always population A
 
     mirror = np.random.default_rng(31)
     reference, best_a = init_population(spec, 12, mirror)
@@ -677,11 +699,11 @@ def reference_concentrate(swarm_dims, population, fitness, gbest_position, spec,
     pbest = population.pbest_positions[:, swarm_dims]
     velocities = update_velocities(
         positions, velocities, pbest, gbest_position[swarm_dims], w, pso_p.c1, pso_p.c2,
-        spec.upper - spec.lower, *rng.random((2,) + positions.shape),
+        spec.upper - spec.lower, *rng.random((2,) + positions.shape), np.empty(positions.shape),
     )
     positions = update_positions(positions, velocities, spec.lower, spec.upper)
     order = np.argsort(fitness, kind="stable")
-    non_elite = order[elite_count(params.elite_factor, population.size):]
+    non_elite = order[elite_count(params.elite_factor, len(population.positions)):]
     if non_elite.size > 0 and params.mutation_rate > 0.0:
         mutate = rng.random((non_elite.size, swarm_dims.size)) < params.mutation_rate
         fresh = rng.uniform(spec.lower, spec.upper, size=(non_elite.size, swarm_dims.size))
@@ -810,7 +832,7 @@ def test_population_views_write_through():
     params = AioParams(swarm_count=1, elite_factor=1.0, mutation_rate=0.0, pso=pso_p)
     rng = np.random.default_rng(8)
     state = init_aio_state(spec, params, rng)
-    force(state.swarm_automata[0], [0.0, 1.0])  # always population B
+    state.swarm_automata.probabilities[0] = [0.0, 1.0]  # always population B
     state.pop_b.positions[2] = 0.0  # the optimum
     view = state.pop_b
     reference = Population(view.positions.copy(), view.velocities.copy(),

@@ -287,15 +287,13 @@ def test_vector_draw_equals_scalar_draws(n, seed):
 
 def test_bank_rows_are_writable_automaton_views():
     bank = AutomatonBank(3, 4, 0.2, 0.1)
-    auto = bank[1]
+    auto = list(bank)[1]
     assert auto.action_count == 4
     auto.probabilities[:] = [0.0, 1.0, 0.0, 0.0]
     auto.reinforce(1, PENALTY)
     np.testing.assert_array_equal(bank.probabilities[1], auto.probabilities)
     np.testing.assert_array_equal(bank.probabilities[[0, 2]], 0.25)
     assert [a.row for a in bank] == [0, 1, 2]
-    with pytest.raises(IndexError):
-        bank[3]
 
 
 def test_bank_rejects_out_of_range_actions():
@@ -304,6 +302,32 @@ def test_bank_rejects_out_of_range_actions():
         bank.reinforce([0, 1], [0, 3], [True, False])
     with pytest.raises(ValueError):
         bank.reinforce([0], [-1], [True])
+    np.testing.assert_array_equal(bank.probabilities, 1 / 3)
+
+
+def test_non_integer_action_rejected():
+    auto = LearningAutomaton(3, 0.1, 0.1)
+    for action in (1.5, True):
+        with pytest.raises(ValueError, match="integer"):
+            auto.reinforce(action, REWARD)
+    np.testing.assert_array_equal(auto.probabilities, 1 / 3)
+    auto.reinforce(np.int64(1), REWARD)
+    assert auto.probabilities[1] > 1 / 3
+
+
+def test_bank_rejects_malformed_actions_and_signals():
+    bank = AutomatonBank(2, 3, 0.1, 0.1)
+    with pytest.raises(ValueError, match="integers"):
+        bank.reinforce([0, 1], [1.7, 0.2], [True, False])
+    with pytest.raises(ValueError, match="integers"):
+        bank.reinforce([0, 1], [True, False], [True, False])
+    for rows, actions, rewarded in (([0, 1], [1], [True, True]),
+                                    (slice(None), [1, 2], [True]),
+                                    ([0], [1, 2], [True, False])):
+        with pytest.raises(ValueError, match="one action and one signal"):
+            bank.reinforce(rows, actions, rewarded)
+    np.testing.assert_array_equal(bank.probabilities, 1 / 3)
+    bank.reinforce([], [], [])  # no rows, no actions: nothing to do
     np.testing.assert_array_equal(bank.probabilities, 1 / 3)
 
 

@@ -1,18 +1,22 @@
 """The benchmark's view of the package.
 
 ``bench/`` wraps package functions by module attribute and reads
-``ExperimentConfig`` fields.  A rename in the package that breaks it,
-or a refactor that routes work around a wrapped function, would
-otherwise show only when ``bench/run.py --trace 1`` runs.  These tests
-import ``bench/`` without writing anything there.
+``ExperimentConfig`` fields, and its per-step checks read the
+optimizer state.  A rename in the package that breaks it, a refactor
+that routes work around a wrapped function, or a change to a state the
+checks read would otherwise show only when ``bench/run.py`` runs.
+These tests import ``bench/`` without writing anything there.
 """
 import importlib
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from aiopt import AioParams, PsoParams, lookup, run_aio
+from aiopt.aio import aio_step, init_aio_state
+from aiopt.pso import init_population, pso_step
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -90,3 +94,34 @@ def test_term_objective_evaluates_only_the_set_up_rows(bench):
     assert counters["benchmarks.evaluate.rows"] == 2 * 6
     assert counters["aio.context_eval.improved"] >= 1
     assert counters["aio.membership.empty_swarms"] >= 1
+
+
+@pytest.mark.parametrize("name", ["rastrigin", "rosenbrock"])
+def test_bench_state_checks_pass_on_real_aio_steps(bench, name):
+    """The checks the benchmark runs after every step read the package's
+    state as it is: no failure on real steps, and a wrong stored best is seen."""
+    _, workloads = bench
+    spec = lookup(name, 12)
+    params = AioParams(swarm_count=4, pso=PsoParams(population_size=8, max_iterations=30))
+    rng = np.random.default_rng(7)
+    state = init_aio_state(spec, params, rng)
+    for i in range(30):
+        best = aio_step(state, spec, params, i, rng)
+        assert workloads.StepWorkload.aio_failures((state, spec), best) == []
+    state.context.gbest_fitness -= 1
+    assert workloads.StepWorkload.aio_failures((state, spec), state.context.gbest_fitness) == [
+        "stored global-best fitness != evaluate(gbest_position)"]
+
+
+def test_bench_state_checks_pass_on_real_pso_steps(bench):
+    _, workloads = bench
+    spec = lookup("sphere", 12)
+    params = PsoParams(population_size=8, max_iterations=30)
+    rng = np.random.default_rng(7)
+    population, gbest = init_population(spec, params.population_size, rng)
+    for i in range(30):
+        previous, gbest = gbest, pso_step(population, gbest, spec, params, i, rng)
+        assert workloads.StepWorkload.pso_failures((population, previous, spec), gbest) == []
+    gbest.fitness -= 1
+    assert workloads.StepWorkload.pso_failures((population, gbest, spec), gbest) == [
+        "stored global-best fitness != evaluate(gbest_position)"]

@@ -103,6 +103,7 @@ def test_velocity_update_forced_draws():
         c2=1.0,
         v_max=100.0,
         **constant_factors(0.5, (1, 1)),
+        diff=np.empty((1, 1)),
     )
     assert v[0, 0] == pytest.approx(3.5, abs=1e-12)
 
@@ -111,7 +112,7 @@ def test_velocity_zero_at_consensus_point():
     x = np.array([[1.5, -2.0]])
     v = update_velocities(x, np.zeros_like(x), x.copy(), x[0].copy(),
                           w=0.9, c1=2.0, c2=2.0, v_max=10.0,
-                          **constant_factors(0.7, x.shape))
+                          **constant_factors(0.7, x.shape), diff=np.empty(x.shape))
     np.testing.assert_array_equal(v, np.zeros_like(x))
 
 
@@ -119,7 +120,8 @@ def test_velocity_clamped_to_v_max():
     x = np.zeros((3, 4))
     pbest = np.full((3, 4), 500.0)
     v = update_velocities(x, np.zeros_like(x), pbest, pbest[0], w=0.5,
-                          c1=2.0, c2=2.0, v_max=1.0, **constant_factors(0.9, x.shape))
+                          c1=2.0, c2=2.0, v_max=1.0, **constant_factors(0.9, x.shape),
+                          diff=np.empty(x.shape))
     assert np.all(np.abs(v) <= 1.0)
 
 
@@ -149,7 +151,7 @@ def test_velocity_decays_geometrically_without_attraction():
     peak = np.abs(v).max()
     for _ in range(20):
         v = update_velocities(x, v, x.copy(), x[0].copy(), w, 0.0, 0.0, 10.0,
-                              *rng.random((2,) + x.shape))
+                              *rng.random((2,) + x.shape), np.empty(x.shape))
         peak_next = np.abs(v).max()
         assert peak_next == pytest.approx(w * peak, rel=1e-12)
         peak = peak_next
@@ -188,7 +190,7 @@ def test_in_place_velocities_bit_equal_the_expression(
     expected = reference_velocities(x, v.copy(), pbest, gbest, w, c1, c2, v_max, mirror)
 
     rng = np.random.default_rng(seed + 1)
-    diff = np.empty(shape) if own_buffers else None
+    diff = np.empty(shape) if own_buffers else pbest  # the adaptive move passes pbest
     r1, r2 = rng.random((2,) + shape)
     result = update_velocities(x, v, pbest, gbest, w, c1, c2, v_max, r1, r2, diff)
     assert result is v
