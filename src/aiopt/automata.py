@@ -83,9 +83,14 @@ class AutomatonBank:
         """Update each listed row at its action; ``rewarded`` is a bool per row.
 
         ``rows`` is a slice or an array of distinct row indices.  Rows not
-        listed are left untouched.  Raises ``ValueError`` unless ``actions``
-        are integers in range and it and ``rewarded`` have one entry per row.
+        listed are left untouched.  Raises ``ValueError`` if ``rows`` names
+        a row twice, and unless ``actions`` are integers in range and it and
+        ``rewarded`` have one entry per row.
         """
+        if not isinstance(rows, slice):
+            listed = np.arange(len(self))[rows].tolist()
+            if len(set(listed)) < len(listed):
+                raise ValueError(f"rows must be distinct, got {np.asarray(rows).tolist()}")
         actions = np.asarray(actions)
         r = self.action_count
         if actions.size and (actions.dtype.kind not in "iu" or actions.min() < 0
@@ -159,7 +164,7 @@ class LearningAutomaton:
             raise ValueError(f"action must be an integer, got {action!r}")
         if not 0 <= action < self.action_count:
             raise ValueError(f"action {action} out of range for {self.action_count} actions")
-        if signal not in (REWARD, PENALTY):
+        if isinstance(signal, (bool, np.bool_)) or signal not in (REWARD, PENALTY):
             raise ValueError(f"signal must be 0 (reward) or 1 (penalty), got {signal}")
         self.bank._update(
             slice(self.row, self.row + 1), np.array([action]), np.array([signal == REWARD])

@@ -1,4 +1,4 @@
-"""Global-best particle swarm optimizer and shared inertia schedules.
+"""Global-best particle swarm optimizer and the adaptive inertia schedules.
 
 The population is held as flat arrays (one row per particle) so every
 update step is a handful of vectorized operations.  The same velocity
@@ -16,8 +16,6 @@ import numpy as np
 from .benchmarks import BenchmarkSpec
 from .errors import check
 
-INERTIA_MODES = ("fixed", "slow", "quick")
-
 
 @dataclass(frozen=True)
 class PsoParams:
@@ -28,7 +26,6 @@ class PsoParams:
 
     c1: float = 1.49445
     c2: float = 1.49445
-    inertia_mode: str = "fixed"
     w_fixed: float = 0.74
     w_max: float = 0.9
     w_min: float = 0.4
@@ -39,8 +36,6 @@ class PsoParams:
         check(
             (self.c1 > 0, f"<c1> must be > 0, got {self.c1}"),
             (self.c2 > 0, f"<c2> must be > 0, got {self.c2}"),
-            (self.inertia_mode in INERTIA_MODES,
-             f"inertia mode must be one of {INERTIA_MODES}, got {self.inertia_mode!r}"),
             (self.w_fixed >= 0, f"<w> must be >= 0, got {self.w_fixed}"),
             (self.w_max >= 0, f"<w-max> must be >= 0, got {self.w_max}"),
             (self.w_min >= 0, f"<w-min> must be >= 0, got {self.w_min}"),
@@ -128,13 +123,11 @@ def init_population(spec: BenchmarkSpec, size: int, rng: np.random.Generator):
 
 
 def inertia_weight(mode: str, iteration: int, params: PsoParams) -> float:
-    """Inertia for the given iteration: constant, slow decay, or quick decay.
+    """Adaptive inertia for the given iteration: slow or quick decay.
 
     The slow schedule decays at three quarters of the quick schedule's
     rate, so it retains more momentum near the iteration budget.
     """
-    if mode == "fixed":
-        return params.w_fixed
     span = params.w_max - params.w_min
     if mode == "slow":
         return params.w_max - 0.75 * iteration * span / params.max_iterations
@@ -205,7 +198,8 @@ def pso_step(
     """One synchronous iteration: evaluate, update bests, then move in place.
 
     Personal and global bests only change on strict improvement, so the
-    returned global best never gets worse.
+    returned global best never gets worse.  The inertia is always
+    ``params.w_fixed``, so ``iteration`` does not change the step.
     """
     fitness = np.asarray(spec.evaluate(population.positions), dtype=np.float64)
     improved = fitness < population.pbest_fitness
@@ -218,7 +212,6 @@ def pso_step(
             position=population.pbest_positions[best].copy(),
             fitness=float(population.pbest_fitness[best]),
         )
-    w = inertia_weight(params.inertia_mode, iteration, params)
     draws, diff = population.step_buffers
     rng.random(out=draws)
     update_velocities(
@@ -226,7 +219,7 @@ def pso_step(
         population.velocities,
         population.pbest_positions,
         gbest.position,
-        w,
+        params.w_fixed,
         params.c1,
         params.c2,
         spec.upper - spec.lower,

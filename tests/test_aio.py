@@ -592,7 +592,7 @@ def test_cycle_choice_follows_the_guard(monkeypatch):
 
 def test_single_swarm_step_equals_full_dimension_pso_step():
     spec = lookup("sphere", 6)
-    pso_p = PsoParams(population_size=12, max_iterations=50, inertia_mode="slow")
+    pso_p = PsoParams(population_size=12, max_iterations=50, w_fixed=0.9)
     params = AioParams(swarm_count=1, elite_factor=1.0, mutation_rate=0.0, pso=pso_p)
 
     rng = np.random.default_rng(31)
@@ -828,7 +828,7 @@ def test_step_calls_each_half_once_per_non_empty_swarm(monkeypatch):
 def test_population_views_write_through():
     """A value written into ``pop_b`` is the one the next step scores and moves."""
     spec = lookup("sphere", 5)
-    pso_p = PsoParams(population_size=6, max_iterations=10, inertia_mode="slow")
+    pso_p = PsoParams(population_size=6, max_iterations=10, w_fixed=0.9)
     params = AioParams(swarm_count=1, elite_factor=1.0, mutation_rate=0.0, pso=pso_p)
     rng = np.random.default_rng(8)
     state = init_aio_state(spec, params, rng)
@@ -876,6 +876,18 @@ def test_run_with_zero_iterations_reports_initial_best():
     state = init_aio_state(spec, params, np.random.default_rng(9))
     assert trace.best_fitness.size == 0
     assert trace.final_fitness == state.context.gbest_fitness
+
+
+@pytest.mark.parametrize("name", ["sphere", "rastrigin"])
+def test_run_reads_only_the_adaptive_inertia(name):
+    spec = lookup(name, 10)
+
+    def trace(**inertia):
+        params = AioParams(pso=PsoParams(population_size=20, max_iterations=30, **inertia))
+        return run_aio(spec, params, seed=5).best_fitness.tobytes()
+
+    assert trace(w_fixed=0.74) == trace(w_fixed=0.5)
+    assert trace(w_max=0.9, w_min=0.4) != trace(w_max=0.8, w_min=0.3)
 
 
 def test_desk_scale_run_improves_on_initial_best():

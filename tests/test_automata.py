@@ -114,8 +114,11 @@ def test_out_of_range_action_rejected():
 
 def test_bad_signal_rejected():
     auto = LearningAutomaton(3, 0.1, 0.1)
-    with pytest.raises(ValueError):
-        auto.reinforce(0, 2)
+    # True == PENALTY, so a "rewarded" flag would otherwise apply a penalty.
+    for signal in (2, True, False, np.True_):
+        with pytest.raises(ValueError, match="signal"):
+            auto.reinforce(0, signal)
+    np.testing.assert_array_equal(auto.probabilities, 1 / 3)
 
 
 # ------------------------------------------------------------- properties
@@ -329,6 +332,16 @@ def test_bank_rejects_malformed_actions_and_signals():
     np.testing.assert_array_equal(bank.probabilities, 1 / 3)
     bank.reinforce([], [], [])  # no rows, no actions: nothing to do
     np.testing.assert_array_equal(bank.probabilities, 1 / 3)
+
+
+def test_bank_rejects_repeated_rows():
+    bank = AutomatonBank(2, 2, 0.1, 0.1)
+    for rows in ([0, 0], [1, -1], np.array([0, 1, 0])):
+        with pytest.raises(ValueError, match="distinct"):
+            bank.reinforce(rows, [0] * len(rows), [True] * len(rows))
+    np.testing.assert_array_equal(bank.probabilities, 0.5)
+    bank.reinforce(np.array([True, True]), [0, 1], [True, False])  # a mask names each row once
+    np.testing.assert_array_equal(bank.probabilities, [[0.55, 0.45], [0.55, 0.45]])
 
 
 def test_empty_bank_is_falsy_and_draws_nothing():

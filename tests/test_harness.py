@@ -58,7 +58,6 @@ def test_minimal_document_takes_all_defaults():
 def test_pso_root_with_fixed_inertia():
     config = parse_config("<pso><w>0.74</w></pso>")
     assert config.algorithm == "pso"
-    assert config.pso_params.inertia_mode == "fixed"
     assert config.pso_params.w_fixed == 0.74
 
 

@@ -48,7 +48,7 @@ def test_default_params_match_reference_setup():
     [
         {"c1": 0.0},
         {"c2": -1.0},
-        {"inertia_mode": "linear"},
+        {"w_min": 0.4, "w_max": 0.4},
         {"w_min": 0.9, "w_max": 0.4},
         {"population_size": 1},
         {"max_iterations": -1},
@@ -64,9 +64,28 @@ def test_invalid_params_rejected(kwargs):
 # ----------------------------------------------------------------- schedules
 
 def test_fixed_inertia_ignores_iteration():
-    p = PsoParams(w_fixed=0.74, max_iterations=100)
-    assert inertia_weight("fixed", 0, p) == 0.74
-    assert inertia_weight("fixed", 100, p) == 0.74
+    # Every particle sits on its personal best and on the global best, so
+    # both attraction terms are zero and the step only scales velocities.
+    spec = lookup("sphere", 3)
+    params = PsoParams(w_fixed=0.6, w_max=0.9, w_min=0.4, population_size=4,
+                       max_iterations=100)
+    velocities = np.random.default_rng(3).uniform(-1.0, 1.0, size=(4, 3))
+    for iteration in (0, 100):
+        positions = np.tile([1.0, 2.0, 3.0], (4, 1))
+        population = Population(
+            positions=positions.copy(),
+            velocities=velocities.copy(),
+            pbest_positions=positions.copy(),
+            pbest_fitness=spec.evaluate(positions),
+        )
+        gbest = SwarmBest(position=positions[0].copy(), fitness=14.0)
+        pso_step(population, gbest, spec, params, iteration, np.random.default_rng(0))
+        np.testing.assert_array_equal(population.velocities, 0.6 * velocities)
+
+
+def test_inertia_weight_has_only_the_adaptive_cycles():
+    with pytest.raises(ValueError, match="unknown inertia mode"):
+        inertia_weight("fixed", 0, PsoParams())
 
 
 def test_quick_schedule_endpoints():
@@ -351,6 +370,18 @@ def test_run_replay_is_bit_exact():
     first = run_pso(spec, params, seed=21)
     second = run_pso(spec, params, seed=21)
     np.testing.assert_array_equal(first.best_fitness, second.best_fitness)
+
+
+@pytest.mark.parametrize("name", ["sphere", "rastrigin"])
+def test_run_reads_only_the_fixed_inertia(name):
+    spec = lookup(name, 10)
+
+    def trace(**inertia):
+        params = PsoParams(population_size=20, max_iterations=30, **inertia)
+        return run_pso(spec, params, seed=5).best_fitness.tobytes()
+
+    assert trace(w_max=0.9, w_min=0.4) == trace(w_max=0.8, w_min=0.3)
+    assert trace(w_fixed=0.74) != trace(w_fixed=0.5)
 
 
 def test_easy_unimodal_target_reached():
