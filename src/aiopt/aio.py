@@ -136,7 +136,7 @@ def init_aio_state(spec: BenchmarkSpec, params: AioParams, rng: np.random.Genera
     ``ConfigError`` if ``params`` break ``swarm_count_rule`` or ``velocity_rule``.
     """
     check(swarm_count_rule(params.swarm_count, spec.dims),
-          velocity_rule(params.pso, spec.lower, spec.upper))
+          velocity_rule("aio", params.pso, spec.lower, spec.upper))
     n = params.pso.population_size
     columns = np.empty((3, 2, spec.dims, n))
     pbest_fitness = np.empty((2, n))
@@ -362,5 +362,4 @@ def run_aio(spec: BenchmarkSpec, params: AioParams, seed: int) -> RunTrace:
     trace = np.empty(params.pso.max_iterations, dtype=np.float64)
     for i in range(params.pso.max_iterations):
         trace[i] = aio_step(state, spec, params, i, rng)
-    final = float(trace[-1]) if params.pso.max_iterations > 0 else state.context.gbest_fitness
-    return RunTrace(best_fitness=trace, final_fitness=final, seed=seed)
+    return RunTrace(best_fitness=trace, final_fitness=state.context.gbest_fitness, seed=seed)

@@ -6,7 +6,7 @@ import sys
 
 from .config import load_config
 from .errors import ConfigError
-from .harness import aggregate, run_experiment, write_csv
+from .harness import ALGORITHMS, aggregate, run_experiment, write_csv
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -16,7 +16,7 @@ def build_parser() -> argparse.ArgumentParser:
         "mean convergence curve as CSV.",
     )
     parser.add_argument("--config", required=True, help="XML experiment file")
-    parser.add_argument("--algorithm", choices=("pso", "aio"), help="override the root-tag algorithm")
+    parser.add_argument("--algorithm", choices=ALGORITHMS, help="override the root-tag algorithm")
     parser.add_argument("--benchmark", help="override the benchmark function")
     parser.add_argument("--dims", type=int, help="override the dimension count")
     parser.add_argument("--runs", type=int, help="override the number of seeded runs")

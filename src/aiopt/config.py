@@ -80,6 +80,8 @@ def _collect_leaves(element: ET.Element, leaves: dict, allow_super: bool) -> Non
         elif child.tag in TAGS:
             if child.tag in leaves:
                 raise ConfigError(f"duplicate tag <{child.tag}>")
+            if len(child):
+                raise ConfigError(f"<{child.tag}> must hold only text, got <{child[0].tag}> inside it")
             parse = TAGS[child.tag][2]
             leaves[child.tag] = parse(child.tag, (child.text or "").strip())
         else:

@@ -39,7 +39,7 @@ class ExperimentConfig:
             *lookup_rules(self.benchmark, self.dims),
         ]
         if self.benchmark in DOMAINS:
-            rules.append(velocity_rule(self.pso_params, *DOMAINS[self.benchmark]))
+            rules.append(velocity_rule(self.algorithm, self.pso_params, *DOMAINS[self.benchmark]))
         if self.algorithm == "aio":
             rules.append(swarm_count_rule(self.aio_params.swarm_count, self.dims))
         check(*rules)

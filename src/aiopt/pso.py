@@ -51,17 +51,17 @@ def population_size_rule(size: int) -> tuple[bool, str]:
     return size >= 2, f"<population-size> must be >= 2, got {size}"
 
 
-def velocity_rule(params: PsoParams, lower: float, upper: float) -> tuple[bool, str]:
-    """The velocity update's bound in the box ``[lower, upper]``; a rule for ``check``.
+def velocity_rule(algorithm: str, params: PsoParams, lower: float, upper: float):
+    """``algorithm``'s velocity bound in the box ``[lower, upper]``; a rule for ``check``.
 
-    Each term of the update, ``w*v``, ``c1*r1*(pbest - x)`` and
-    ``c2*r2*(gbest - x)``, is at most its constant times the box width, so
-    their sum must stay finite in float64.
+    Each term of the update, ``w*v + c1*r1*(pbest - x) + c2*r2*(gbest - x)``, is at
+    most its constant times the box width, so their sum must stay finite in float64.
+    ``w`` is ``<w>`` for ``"pso"`` and ``<w-max>``, the largest ``inertia_weight``, for ``"aio"``.
     """
-    w = max(params.w_fixed, params.w_max)
+    tag, w = ("<w>", params.w_fixed) if algorithm == "pso" else ("<w-max>", params.w_max)
     bound = (w + params.c1 + params.c2) * (upper - lower)
     return (math.isfinite(bound),
-            f"(max(<w>, <w-max>) + <c1> + <c2>) * (upper - lower) must be finite, got "
+            f"({tag} + <c1> + <c2>) * (upper - lower) must be finite, got "
             f"({w} + {params.c1} + {params.c2}) * ({upper} - {lower})")
 
 
@@ -192,14 +192,12 @@ def pso_step(
     gbest: SwarmBest,
     spec: BenchmarkSpec,
     params: PsoParams,
-    iteration: int,
     rng: np.random.Generator,
 ) -> SwarmBest:
     """One synchronous iteration: evaluate, update bests, then move in place.
 
     Personal and global bests only change on strict improvement, so the
-    returned global best never gets worse.  The inertia is always
-    ``params.w_fixed``, so ``iteration`` does not change the step.
+    returned global best never gets worse.  The inertia is always ``params.w_fixed``.
     """
     fitness = np.asarray(spec.evaluate(population.positions), dtype=np.float64)
     improved = fitness < population.pbest_fitness
@@ -236,12 +234,11 @@ def run_pso(spec: BenchmarkSpec, params: PsoParams, seed: int) -> RunTrace:
 
     Raises ``ConfigError`` if ``params`` break ``velocity_rule`` in ``spec``'s box.
     """
-    check(velocity_rule(params, spec.lower, spec.upper))
+    check(velocity_rule("pso", params, spec.lower, spec.upper))
     rng = np.random.default_rng(seed)
     population, gbest = init_population(spec, params.population_size, rng)
     trace = np.empty(params.max_iterations, dtype=np.float64)
     for i in range(params.max_iterations):
-        gbest = pso_step(population, gbest, spec, params, i, rng)
+        gbest = pso_step(population, gbest, spec, params, rng)
         trace[i] = gbest.fitness
-    final = float(trace[-1]) if params.max_iterations > 0 else gbest.fitness
-    return RunTrace(best_fitness=trace, final_fitness=final, seed=seed)
+    return RunTrace(best_fitness=trace, final_fitness=gbest.fitness, seed=seed)

@@ -9,6 +9,7 @@ These tests import ``bench/`` without writing anything there.
 """
 import importlib
 import sys
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -119,9 +120,25 @@ def test_bench_state_checks_pass_on_real_pso_steps(bench):
     params = PsoParams(population_size=8, max_iterations=30)
     rng = np.random.default_rng(7)
     population, gbest = init_population(spec, params.population_size, rng)
-    for i in range(30):
-        previous, gbest = gbest, pso_step(population, gbest, spec, params, i, rng)
+    for _ in range(30):
+        previous, gbest = gbest, pso_step(population, gbest, spec, params, rng)
         assert workloads.StepWorkload.pso_failures((population, previous, spec), gbest) == []
     gbest.fitness -= 1
     assert workloads.StepWorkload.pso_failures((population, gbest, spec), gbest) == [
         "stored global-best fitness != evaluate(gbest_position)"]
+
+
+@pytest.mark.parametrize("algorithm, function", [("pso", "sphere"), ("aio", "rastrigin")])
+def test_step_probe_reads_the_live_step_arguments(bench, algorithm, function):
+    """The benchmark's probe, swapped onto the real ``pso_step``/``aio_step``,
+    times every step and finds the state where its checks read it."""
+    _, workloads = bench
+    workload = workloads.StepWorkload(
+        name=f"{algorithm}-{function}-d12", algorithm=algorithm,
+        config=f"configs/{algorithm}.xml", benchmark=function, dims=12, iterations=30,
+        min_passes=1,
+    )
+    step_times = array("d")
+    run = workload.run(3, step_times)
+    assert run.failures == []
+    assert len(step_times) == 30

@@ -139,6 +139,10 @@ def test_full_parameter_document():
          "<c1>1e308</c1><c2>1e308</c2></aio>", "<c1> + <c2>) * (upper - lower) must be finite"),
         ("<pso><benchmark>rastrigin</benchmark><dimensions>10</dimensions>"
          "<c1>1e308</c1><c2>1e308</c2></pso>", "<c1> + <c2>) * (upper - lower) must be finite"),
+        ("<aio><c1>1.2<w>5</w></c1></aio>", "<c1> must hold only text, got <w> inside it"),
+        ("<pso><w>1e308</w></pso>", "(<w> + <c1> + <c2>) * (upper - lower) must be finite"),
+        ("<aio><w-max>1e308</w-max></aio>",
+         "(<w-max> + <c1> + <c2>) * (upper - lower) must be finite"),
     ],
 )
 def test_rejected_documents_name_the_problem(document, fragment):
@@ -215,6 +219,29 @@ def test_velocity_rule_follows_the_box_of_the_run():
         warnings.simplefilter("error")
         with pytest.raises(ConfigError, match="<c1>"):
             run_pso(lookup("griewank", 4), config.pso_params, seed=1)
+
+
+def test_each_run_bounds_only_the_inertia_it_reads():
+    """``run_pso`` reads only <w> and ``run_aio`` only <w-max>, so a weight
+    that overflows the bound stops only the optimizer that reads it."""
+    spec = lookup("sphere", 2)
+    huge_w_max = PsoParams(w_max=1e308, w_min=0.4, population_size=4, max_iterations=2)
+    huge_w = PsoParams(w_fixed=1e308, population_size=4, max_iterations=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert len(run_pso(spec, huge_w_max, seed=1).best_fitness) == 2
+        assert len(run_aio(spec, AioParams(swarm_count=2, pso=huge_w), seed=1).best_fitness) == 2
+        with pytest.raises(ConfigError, match=r"^\(<w> \+ <c1> \+ <c2>\)"):
+            run_pso(spec, huge_w, seed=1)
+        with pytest.raises(ConfigError, match=r"^\(<w-max> \+ <c1> \+ <c2>\)"):
+            run_aio(spec, AioParams(swarm_count=2, pso=huge_w_max), seed=1)
+
+
+@pytest.mark.parametrize("root, unread, name", [("pso", "w-max", "w_max"), ("aio", "w", "w_fixed")])
+def test_each_document_bounds_only_the_inertia_it_reads(root, unread, name):
+    """The converse documents are in ``test_rejected_documents_name_the_problem``."""
+    config = parse_config(f"<{root}><{unread}>1e308</{unread}></{root}>")
+    assert config.algorithm == root and getattr(config.pso_params, name) == 1e308
 
 
 # ------------------------------------------------------------- experiments

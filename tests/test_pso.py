@@ -70,17 +70,16 @@ def test_fixed_inertia_ignores_iteration():
     params = PsoParams(w_fixed=0.6, w_max=0.9, w_min=0.4, population_size=4,
                        max_iterations=100)
     velocities = np.random.default_rng(3).uniform(-1.0, 1.0, size=(4, 3))
-    for iteration in (0, 100):
-        positions = np.tile([1.0, 2.0, 3.0], (4, 1))
-        population = Population(
-            positions=positions.copy(),
-            velocities=velocities.copy(),
-            pbest_positions=positions.copy(),
-            pbest_fitness=spec.evaluate(positions),
-        )
-        gbest = SwarmBest(position=positions[0].copy(), fitness=14.0)
-        pso_step(population, gbest, spec, params, iteration, np.random.default_rng(0))
-        np.testing.assert_array_equal(population.velocities, 0.6 * velocities)
+    positions = np.tile([1.0, 2.0, 3.0], (4, 1))
+    population = Population(
+        positions=positions.copy(),
+        velocities=velocities.copy(),
+        pbest_positions=positions.copy(),
+        pbest_fitness=spec.evaluate(positions),
+    )
+    gbest = SwarmBest(position=positions[0].copy(), fitness=14.0)
+    pso_step(population, gbest, spec, params, np.random.default_rng(0))
+    np.testing.assert_array_equal(population.velocities, 0.6 * velocities)
 
 
 def test_inertia_weight_has_only_the_adaptive_cycles():
@@ -278,7 +277,7 @@ def test_step_finds_optimum_when_a_particle_sits_on_it():
     )
     gbest = SwarmBest(position=positions[1].copy(), fitness=np.inf)
     gbest = pso_step(population, gbest, spec, PsoParams(population_size=2),
-                     0, np.random.default_rng(0))
+                     np.random.default_rng(0))
     assert population.pbest_fitness[0] == 0.0
     assert gbest.fitness == 0.0
 
@@ -288,9 +287,9 @@ def test_step_never_worsens_gbest():
     params = PsoParams(population_size=20, max_iterations=100)
     rng = np.random.default_rng(9)
     population, gbest = init_population(spec, 20, rng)
-    for i in range(100):
+    for _ in range(100):
         previous = gbest.fitness
-        gbest = pso_step(population, gbest, spec, params, i, rng)
+        gbest = pso_step(population, gbest, spec, params, rng)
         assert gbest.fitness <= previous
 
 
@@ -299,8 +298,8 @@ def test_step_keeps_positions_in_box():
     params = PsoParams(population_size=15, max_iterations=50)
     rng = np.random.default_rng(123)
     population, gbest = init_population(spec, 15, rng)
-    for i in range(50):
-        gbest = pso_step(population, gbest, spec, params, i, rng)
+    for _ in range(50):
+        gbest = pso_step(population, gbest, spec, params, rng)
         assert np.all(population.positions >= spec.lower)
         assert np.all(population.positions <= spec.upper)
         assert np.all(np.abs(population.velocities) <= spec.upper - spec.lower)
@@ -313,7 +312,7 @@ def test_step_deterministic_from_identical_state():
     def one_step():
         rng = np.random.default_rng(77)
         population, gbest = init_population(spec, 10, rng)
-        gbest = pso_step(population, gbest, spec, params, 0, rng)
+        gbest = pso_step(population, gbest, spec, params, rng)
         return population.positions, gbest.fitness
 
     first_positions, first_fitness = one_step()
@@ -328,14 +327,14 @@ def test_step_moves_the_population_in_place():
     rng = np.random.default_rng(4)
     population, gbest = init_population(spec, 8, rng)
     positions, velocities = population.positions, population.velocities
-    for i in range(5):
+    for _ in range(5):
         before = positions.copy()
-        gbest = pso_step(population, gbest, spec, params, i, rng)
+        gbest = pso_step(population, gbest, spec, params, rng)
         assert population.positions is positions
         assert population.velocities is velocities
         assert not np.array_equal(positions, before)
     draws, diff = population.step_buffers
-    pso_step(population, gbest, spec, params, 5, rng)
+    pso_step(population, gbest, spec, params, rng)
     again = population.step_buffers
     assert np.shares_memory(draws, again[0]) and np.shares_memory(diff, again[1])
     assert not np.shares_memory(draws, diff)
