@@ -83,24 +83,10 @@ class AutomatonBank:
         """Update each listed row at its action; ``rewarded`` is a bool per row.
 
         ``rows`` is a slice or an array of distinct row indices.  Rows not
-        listed are left untouched.  Raises ``ValueError`` if ``rows`` names
-        a row twice, and unless ``actions`` are integers in range and it and
-        ``rewarded`` have one entry per row.
-        """
-        if not isinstance(rows, slice):
-            listed = np.arange(len(self))[rows].tolist()
-            if len(set(listed)) < len(listed):
-                raise ValueError(f"rows must be distinct, got {np.asarray(rows).tolist()}")
-        actions = np.asarray(actions)
-        r = self.action_count
-        if actions.size and (actions.dtype.kind not in "iu" or actions.min() < 0
-                             or actions.max() >= r):
-            raise ValueError(f"actions must be integers in [0, {r}), got {actions.dtype} "
-                             f"{actions.min()} to {actions.max()}")
-        self._update(rows, actions.astype(np.intp, copy=False), np.asarray(rewarded, dtype=bool))
-
-    def _update(self, rows, actions: np.ndarray, rewarded: np.ndarray) -> None:
-        """The linear reinforcement rule on checked actions.
+        listed are left untouched.  Raises ``ValueError``, with no row
+        changed, if ``rows`` names a row twice, if ``actions`` or
+        ``rewarded`` lacks one entry per row, or if an action is not an
+        integer in ``[0, r)``.  Every reinforcement is checked here.
 
         Each element goes through the same floating-point operations, in
         the same order, as a one-automaton update that rescales the row,
@@ -108,17 +94,28 @@ class AutomatonBank:
         Reward rows add a share of 0.0, which leaves them exactly as they
         were.
         """
-        a, b = self.reward_rate, self.penalty_rate
         p = self.probabilities[rows]
+        if not isinstance(rows, slice):
+            listed = np.arange(len(self))[rows].tolist()
+            if len(set(listed)) < len(listed):
+                raise ValueError(f"rows must be distinct, got {np.asarray(rows).tolist()}")
+        actions = np.asarray(actions)
+        rewarded = np.asarray(rewarded, dtype=bool)
         if actions.shape != (len(p),) or rewarded.shape != (len(p),):
             raise ValueError(f"need one action and one signal for each of {len(p)} rows, "
                              f"got {actions.shape} and {rewarded.shape}")
-        picked = (np.arange(len(p)), actions)
+        r = self.action_count
+        if actions.size and (actions.dtype.kind not in "iu" or actions.min() < 0
+                             or actions.max() >= r):
+            raise ValueError(f"actions must be integers in [0, {r}), got {actions.dtype} "
+                             f"{actions.min()} to {actions.max()}")
+        a, b = self.reward_rate, self.penalty_rate
+        picked = (np.arange(len(p)), actions.astype(np.intp, copy=False))
         old = p[picked]
         chosen = np.where(rewarded, old + a * (1.0 - old), old * (1.0 - b))
         columns = p.T  # per-row factors broadcast along the row axis
         columns *= np.where(rewarded, 1.0 - a, 1.0 - b)
-        columns += np.where(rewarded, 0.0, b / (self.action_count - 1))
+        columns += np.where(rewarded, 0.0, b / (r - 1))
         p[picked] = chosen
         total = p.sum(axis=1)
         drifted = np.abs(total - 1.0) > DRIFT_TOLERANCE
@@ -159,13 +156,11 @@ class LearningAutomaton:
         return int(self.bank.select(rng, slice(self.row, self.row + 1))[0])
 
     def reinforce(self, action: int, signal: int) -> None:
-        """Update the probability vector for the given action and signal."""
-        if isinstance(action, bool) or not isinstance(action, (int, np.integer)):
-            raise ValueError(f"action must be an integer, got {action!r}")
-        if not 0 <= action < self.action_count:
-            raise ValueError(f"action {action} out of range for {self.action_count} actions")
+        """Update the probability vector for the given action and signal.
+
+        The signal is 0 or 1, never a bool (``True == PENALTY``, so a
+        "rewarded" flag would apply a penalty); the bank checks the action.
+        """
         if isinstance(signal, (bool, np.bool_)) or signal not in (REWARD, PENALTY):
             raise ValueError(f"signal must be 0 (reward) or 1 (penalty), got {signal}")
-        self.bank._update(
-            slice(self.row, self.row + 1), np.array([action]), np.array([signal == REWARD])
-        )
+        self.bank.reinforce(slice(self.row, self.row + 1), [action], [signal == REWARD])

@@ -210,11 +210,10 @@ class BenchmarkSpec:
         # entries are neither checked nor passed to a kernel.
         base = np.array(base, dtype=np.float64)
         base[swarm_dims] = 0.0
-        if not (np.isfinite(base).all() and np.isfinite(values).all()):
-            raise ValueError("input contains non-finite entries")
         index = _index(n)
         matrices = []
-        for row, part in zip(terms(base, index), terms(values, index[swarm_dims])):
+        for row, part in zip(terms(_as_points(base), index),
+                             terms(_as_points(values), index[swarm_dims])):
             matrix = np.empty((len(values), n))
             matrix[:] = row
             matrix[:, swarm_dims] = part

@@ -65,7 +65,19 @@ TAGS = {
 }
 
 
+def _check_attributes(element: ET.Element, allowed: str | None = None) -> None:
+    extra = ", ".join(name for name in element.attrib if name != allowed)
+    if extra:
+        takes = f"no attributes but {allowed}" if allowed else "no attributes"
+        raise ConfigError(f"<{element.tag}> takes {takes}, got {extra}")
+
+
 def _collect_leaves(element: ET.Element, leaves: dict, allow_super: bool) -> None:
+    """Parse the leaves under the root or ``<super-component>`` into ``leaves``."""
+    _check_attributes(element, "type" if element.tag == "super-component" else None)
+    for text in (element.text, *(child.tail for child in element)):
+        if text and text.strip():
+            raise ConfigError(f"<{element.tag}> must hold only elements, got text {text.strip()!r}")
     for child in element:
         if child.tag == "super-component":
             if not allow_super:
@@ -82,6 +94,7 @@ def _collect_leaves(element: ET.Element, leaves: dict, allow_super: bool) -> Non
                 raise ConfigError(f"duplicate tag <{child.tag}>")
             if len(child):
                 raise ConfigError(f"<{child.tag}> must hold only text, got <{child[0].tag}> inside it")
+            _check_attributes(child)
             parse = TAGS[child.tag][2]
             leaves[child.tag] = parse(child.tag, (child.text or "").strip())
         else:

@@ -318,6 +318,20 @@ def test_non_integer_action_rejected():
     assert auto.probabilities[1] > 1 / 3
 
 
+@pytest.mark.parametrize("action", [3, -1, 1.5, True])
+def test_bad_action_gets_the_banks_one_message(action):
+    auto = LearningAutomaton(3, 0.1, 0.1)
+    bank = AutomatonBank(1, 3, 0.1, 0.1)
+    with pytest.raises(ValueError) as scalar:
+        auto.reinforce(action, REWARD)
+    with pytest.raises(ValueError) as banked:
+        bank.reinforce([0], [action], [True])
+    assert str(scalar.value) == str(banked.value)
+    assert str(scalar.value).startswith("actions must be integers in [0, 3), got ")
+    np.testing.assert_array_equal(auto.probabilities, 1 / 3)
+    np.testing.assert_array_equal(bank.probabilities, 1 / 3)
+
+
 def test_bank_rejects_malformed_actions_and_signals():
     bank = AutomatonBank(2, 3, 0.1, 0.1)
     with pytest.raises(ValueError, match="integers"):

@@ -143,6 +143,14 @@ def test_full_parameter_document():
         ("<pso><w>1e308</w></pso>", "(<w> + <c1> + <c2>) * (upper - lower) must be finite"),
         ("<aio><w-max>1e308</w-max></aio>",
          "(<w-max> + <c1> + <c2>) * (upper - lower) must be finite"),
+        ("<aio>3<c1>1.2</c1>5</aio>", "<aio> must hold only elements, got text '3'"),
+        ("<aio><c1>1.2</c1>tail</aio>", "<aio> must hold only elements, got text 'tail'"),
+        ('<aio><super-component type="pso">c1=2</super-component></aio>',
+         "<super-component> must hold only elements, got text 'c1=2'"),
+        ('<aio><c1 unit="x">1.2</c1></aio>', "<c1> takes no attributes, got unit"),
+        ('<aio extra="1"><c1>1.2</c1></aio>', "<aio> takes no attributes, got extra"),
+        ('<aio><super-component type="pso" mode="x"/></aio>',
+         "<super-component> takes no attributes but type, got mode"),
     ],
 )
 def test_rejected_documents_name_the_problem(document, fragment):
