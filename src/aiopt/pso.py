@@ -8,6 +8,7 @@ adaptive optimizer built on top of it.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -79,7 +80,8 @@ class Population:
         """``(draws, diff)`` for ``pso_step``: ``r1`` and ``r2`` as one
         ``(2, size, D)`` array, and a ``(size, D)`` work array.
 
-        Views into one buffer, made on the first step.  At D = 1000 it is
+        Views into one buffer, made on the first step (a ``Prefetch`` run
+        never writes ``draws``, so its pages are not faulted in).  At D = 1000 it is
         1.2 MB, which glibc serves with mmap; releasing it at the end of a
         run raises glibc's heap trim threshold to twice that, so set-ups
         that follow a run keep their heap pages instead of faulting in
@@ -192,12 +194,14 @@ def pso_step(
     gbest: SwarmBest,
     spec: BenchmarkSpec,
     params: PsoParams,
-    rng: np.random.Generator,
+    rng: np.random.Generator | Prefetch,
 ) -> SwarmBest:
     """One synchronous iteration: evaluate, update bests, then move in place.
 
     Personal and global bests only change on strict improvement, so the
     returned global best never gets worse.  The inertia is always ``params.w_fixed``.
+    ``rng`` is a Generator, which fills the draw half of ``step_buffers``, or a
+    ``Prefetch``, whose block is used as it is, leaving that half untouched.
     """
     fitness = np.asarray(spec.evaluate(population.positions), dtype=np.float64)
     improved = fitness < population.pbest_fitness
@@ -211,7 +215,7 @@ def pso_step(
             fitness=float(population.pbest_fitness[best]),
         )
     draws, diff = population.step_buffers
-    rng.random(out=draws)
+    draws = rng.random(out=draws)
     update_velocities(
         population.positions,
         population.velocities,
@@ -229,16 +233,72 @@ def pso_step(
     return gbest
 
 
+class Prefetch:
+    """A worker thread that draws each step's ``(2, n, D)`` factors one step ahead.
+
+    The worker alternates between two blocks, making ``steps`` calls of
+    ``rng.random(out=block)``, so the values and their order are those of
+    drawing in place.  It is ``rng``'s only user until ``close`` joins it.
+    """
+
+    def __init__(self, rng: np.random.Generator, shape: tuple, steps: int):
+        self.blocks = (np.empty(shape), np.empty(shape))
+        self.free, self.filled = threading.Semaphore(1), threading.Semaphore(0)
+        self.stop, self.error, self.taken = False, None, 0
+        self.worker = threading.Thread(target=self.fill, args=(rng, steps), daemon=True)
+        self.worker.start()
+
+    def fill(self, rng: np.random.Generator, steps: int) -> None:
+        try:
+            for k in range(steps):
+                self.free.acquire()
+                if self.stop:
+                    return
+                rng.random(out=self.blocks[k % 2])
+                self.filled.release()
+        except BaseException as exc:  # re-raised by ``random``
+            self.error = exc
+            self.filled.release()
+
+    def random(self, out=None) -> np.ndarray:
+        """The next step's block, once drawn; ``out`` is ignored.  Each call
+        frees the block the last call returned for the worker to refill."""
+        self.free.release()
+        self.filled.acquire()
+        if self.error is not None:
+            raise self.error
+        self.taken += 1
+        return self.blocks[(self.taken - 1) % 2]
+
+    def close(self) -> None:
+        self.stop = True
+        self.free.release()
+        self.worker.join()
+
+
+PREFETCH_DRAWS = 1 << 16
+
+
 def run_pso(spec: BenchmarkSpec, params: PsoParams, seed: int) -> RunTrace:
     """Full seeded PSO run; records the global best after every iteration.
 
+    Steps of ``PREFETCH_DRAWS`` or more draws take them from a ``Prefetch``
+    (below it, its hand-offs cost more than the draws they hide), joined
+    before this returns or raises; the trace has the same bits.
     Raises ``ConfigError`` if ``params`` break ``velocity_rule`` in ``spec``'s box.
     """
     check(velocity_rule("pso", params, spec.lower, spec.upper))
     rng = np.random.default_rng(seed)
     population, gbest = init_population(spec, params.population_size, rng)
+    shape = (2,) + population.positions.shape
+    prefetch = math.prod(shape) >= PREFETCH_DRAWS
+    source = Prefetch(rng, shape, params.max_iterations) if prefetch else rng
     trace = np.empty(params.max_iterations, dtype=np.float64)
-    for i in range(params.max_iterations):
-        gbest = pso_step(population, gbest, spec, params, rng)
-        trace[i] = gbest.fitness
+    try:
+        for i in range(params.max_iterations):
+            gbest = pso_step(population, gbest, spec, params, source)
+            trace[i] = gbest.fitness
+    finally:
+        if prefetch:
+            source.close()
     return RunTrace(best_fitness=trace, final_fitness=gbest.fitness, seed=seed)

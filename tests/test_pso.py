@@ -1,4 +1,7 @@
 """Baseline swarm optimizer: schedules, update rules, and full runs."""
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +9,9 @@ from hypothesis import strategies as st
 
 from aiopt import ConfigError, PsoParams, lookup, run_pso
 from aiopt.pso import (
+    PREFETCH_DRAWS,
     Population,
+    Prefetch,
     SwarmBest,
     init_population,
     inertia_weight,
@@ -388,3 +393,95 @@ def test_easy_unimodal_target_reached():
     params = PsoParams(population_size=20, max_iterations=500)
     finals = [run_pso(spec, params, seed).final_fitness for seed in range(1, 6)]
     assert np.median(finals) < 1e-6
+
+
+# ------------------------------------------------------- prefetched draws
+
+def guarded(call, timeout=120.0):
+    """``call()`` on a thread joined with ``timeout``, so a run left waiting
+    fails the test instead of hanging it.  Returns ``call``'s result, or the
+    exception it raised, after checking that no thread outlived it."""
+    outcome = []
+
+    def target():
+        try:
+            outcome.append(call())
+        except BaseException as exc:
+            outcome.append(exc)
+
+    before = threading.active_count()
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), f"no result after {timeout} s"
+    assert threading.active_count() == before
+    return outcome[0]
+
+
+@pytest.mark.parametrize("size,dims,prefetched", [
+    (32, 1024, True),    # 65,536 draws a step: the smallest prefetched step
+    (50, 1000, True),    # pso-sphere-d1000
+    (32, 1023, False),   # 65,472 draws a step: drawn in place
+])
+def test_run_matches_steps_drawn_in_place(monkeypatch, size, dims, prefetched):
+    assert (2 * size * dims >= PREFETCH_DRAWS) == prefetched
+    made = []
+
+    def counted(*args):
+        made.append(Prefetch(*args))
+        return made[-1]
+
+    monkeypatch.setattr("aiopt.pso.Prefetch", counted)
+    spec = lookup("sphere", dims)
+    params = PsoParams(population_size=size, max_iterations=20)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # hand the GIL over as often as possible
+    try:
+        trace = guarded(lambda: run_pso(spec, params, seed=8))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(made) == prefetched
+    rng = np.random.default_rng(8)
+    population, gbest = init_population(spec, size, rng)
+    expected = []
+    for _ in range(20):
+        gbest = pso_step(population, gbest, spec, params, rng)
+        expected.append(gbest.fitness)
+    assert trace.best_fitness.tobytes() == np.array(expected).tobytes()
+
+
+def test_prefetched_run_raises_a_step_failure(monkeypatch):
+    step, calls = pso_step, []
+
+    def failing_step(*args):
+        calls.append(None)
+        if len(calls) == 3:
+            raise RuntimeError("third step failed")
+        return step(*args)
+
+    monkeypatch.setattr("aiopt.pso.pso_step", failing_step)
+    params = PsoParams(population_size=50, max_iterations=20)
+    outcome = guarded(lambda: run_pso(lookup("sphere", 1000), params, seed=1))
+    assert isinstance(outcome, RuntimeError) and str(outcome) == "third step failed"
+    assert len(calls) == 3
+
+
+def test_prefetched_run_raises_a_draw_failure(monkeypatch):
+    threads = []
+
+    class FailingDraws(np.random.Generator):
+        def random(self, *args, **kwargs):
+            threads.append(threading.current_thread())
+            raise RuntimeError("draw failed")
+
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: FailingDraws(np.random.PCG64(seed)))
+    params = PsoParams(population_size=50, max_iterations=20)
+    caller = []
+
+    def run():
+        caller.append(threading.current_thread())
+        return run_pso(lookup("sphere", 1000), params, seed=1)
+
+    outcome = guarded(run)
+    assert isinstance(outcome, RuntimeError) and str(outcome) == "draw failed"
+    assert len(threads) == 1 and threads[0] is not caller[0]
