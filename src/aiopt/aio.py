@@ -28,7 +28,7 @@ import numpy as np
 
 from .automata import AutomatonBank, rate_rules
 from .benchmarks import BenchmarkSpec
-from .errors import check
+from .errors import check, count_rule
 from .pso import (
     Population,
     PsoParams,
@@ -57,7 +57,7 @@ class AioParams:
 
     def __post_init__(self):
         check(
-            (self.swarm_count >= 1, f"<tdr-factor> must be >= 1, got {self.swarm_count}"),
+            count_rule("<tdr-factor>", self.swarm_count, 1),
             (0.0 < self.elite_factor <= 1.0,
              f"<elite-factor> must be > 0 and <= 1, got {self.elite_factor}"),
             (0.0 <= self.mutation_rate <= 1.0,

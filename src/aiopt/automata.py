@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import check
+from .errors import check, count_rule
 
 REWARD = 0
 PENALTY = 1
@@ -43,7 +43,9 @@ class AutomatonBank:
     """
 
     def __init__(self, count: int, action_count: int, reward_rate: float, penalty_rate: float):
-        check((action_count >= 2, f"automaton needs at least 2 actions, got {action_count}"),
+        check(count_rule("automaton count", count, 0),
+              count_rule("automaton action count", action_count, 2,
+                         f"automaton needs at least 2 actions, got {action_count}"),
               *rate_rules(reward_rate, penalty_rate))
         self.reward_rate = float(reward_rate)
         self.penalty_rate = float(penalty_rate)

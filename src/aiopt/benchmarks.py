@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import check
+from .errors import check, count_rule
 
 
 def _as_points(x, min_dims: int = 1) -> np.ndarray:
@@ -226,7 +226,7 @@ def lookup_rules(name: str, dims: int) -> list[tuple[bool, str]]:
     valid = ", ".join(sorted(FUNCTIONS))
     return [
         (name in FUNCTIONS, f"<benchmark> must be one of {valid}, got {name!r}"),
-        (dims >= 2, f"<dimensions> must be >= 2, got {dims}"),
+        count_rule("<dimensions>", dims, 2),
     ]
 
 

@@ -7,7 +7,7 @@ import numpy as np
 
 from .aio import AioParams, run_aio, swarm_count_rule
 from .benchmarks import DOMAINS, lookup, lookup_rules
-from .errors import check
+from .errors import check, count_rule
 from .pso import PsoParams, RunTrace, run_pso, velocity_rule
 
 ALGORITHMS = ("pso", "aio")
@@ -34,8 +34,8 @@ class ExperimentConfig:
         rules = [
             (self.algorithm in ALGORITHMS,
              f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}"),
-            (self.runs >= 1, f"<runs> must be >= 1, got {self.runs}"),
-            (self.base_seed >= 0, f"<seed> must be >= 0, got {self.base_seed}"),
+            count_rule("<runs>", self.runs, 1),
+            count_rule("<seed>", self.base_seed, 0),
             *lookup_rules(self.benchmark, self.dims),
         ]
         if self.benchmark in DOMAINS:

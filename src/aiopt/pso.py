@@ -8,6 +8,7 @@ adaptive optimizer built on top of it.
 from __future__ import annotations
 
 import math
+import queue
 import threading
 from dataclasses import dataclass
 from functools import cached_property
@@ -15,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .benchmarks import BenchmarkSpec
-from .errors import check
+from .errors import check, count_rule
 
 
 @dataclass(frozen=True)
@@ -42,14 +43,9 @@ class PsoParams:
             (self.w_min >= 0, f"<w-min> must be >= 0, got {self.w_min}"),
             (self.w_min < self.w_max,
              f"<w-min> must be < <w-max>, got {self.w_min} >= {self.w_max}"),
-            population_size_rule(self.population_size),
-            (self.max_iterations >= 0, f"<iterations> must be >= 0, got {self.max_iterations}"),
+            count_rule("<population-size>", self.population_size, 2),
+            count_rule("<iterations>", self.max_iterations, 0),
         )
-
-
-def population_size_rule(size: int) -> tuple[bool, str]:
-    """A swarm needs at least two particles; a rule for ``check``."""
-    return size >= 2, f"<population-size> must be >= 2, got {size}"
 
 
 def velocity_rule(algorithm: str, params: PsoParams, lower: float, upper: float):
@@ -77,11 +73,11 @@ class Population:
 
     @cached_property
     def step_buffers(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(draws, diff)`` for ``pso_step``: ``r1`` and ``r2`` as one
-        ``(2, size, D)`` array, and a ``(size, D)`` work array.
+        """``(draws, diff)``: a ``(2, size, D)`` array that ``run_pso`` draws
+        a step's ``r1`` and ``r2`` into below ``PREFETCH_DRAWS`` (at or above
+        it, never written), and ``pso_step``'s ``(size, D)`` work array.
 
-        Views into one buffer, made on the first step (a ``Prefetch`` run
-        never writes ``draws``, so its pages are not faulted in).  At D = 1000 it is
+        Views into one buffer, made on the first step.  At D = 1000 it is
         1.2 MB, which glibc serves with mmap; releasing it at the end of a
         run raises glibc's heap trim threshold to twice that, so set-ups
         that follow a run keep their heap pages instead of faulting in
@@ -111,7 +107,7 @@ def init_population(spec: BenchmarkSpec, size: int, rng: np.random.Generator):
 
     Returns the population together with the best initial particle.
     """
-    check(population_size_rule(size))
+    check(count_rule("<population-size>", size, 2))
     positions = rng.uniform(spec.lower, spec.upper, size=(size, spec.dims))
     fitness = np.asarray(spec.evaluate(positions), dtype=np.float64)
     population = Population(
@@ -194,14 +190,14 @@ def pso_step(
     gbest: SwarmBest,
     spec: BenchmarkSpec,
     params: PsoParams,
-    rng: np.random.Generator | Prefetch,
+    draws: np.ndarray,
 ) -> SwarmBest:
     """One synchronous iteration: evaluate, update bests, then move in place.
 
     Personal and global bests only change on strict improvement, so the
     returned global best never gets worse.  The inertia is always ``params.w_fixed``.
-    ``rng`` is a Generator, which fills the draw half of ``step_buffers``, or a
-    ``Prefetch``, whose block is used as it is, leaving that half untouched.
+    ``draws`` is the step's ``(2, n, D)`` block of uniform factors ``r1`` and
+    ``r2``, which the move overwrites.
     """
     fitness = np.asarray(spec.evaluate(population.positions), dtype=np.float64)
     improved = fitness < population.pbest_fitness
@@ -214,8 +210,6 @@ def pso_step(
             position=population.pbest_positions[best].copy(),
             fitness=float(population.pbest_fitness[best]),
         )
-    draws, diff = population.step_buffers
-    draws = rng.random(out=draws)
     update_velocities(
         population.positions,
         population.velocities,
@@ -227,53 +221,22 @@ def pso_step(
         spec.upper - spec.lower,
         draws[0],
         draws[1],
-        diff,
+        population.step_buffers[1],
     )
     update_positions(population.positions, population.velocities, spec.lower, spec.upper)
     return gbest
 
 
-class Prefetch:
-    """A worker thread that draws each step's ``(2, n, D)`` factors one step ahead.
-
-    The worker alternates between two blocks, making ``steps`` calls of
-    ``rng.random(out=block)``, so the values and their order are those of
-    drawing in place.  It is ``rng``'s only user until ``close`` joins it.
-    """
-
-    def __init__(self, rng: np.random.Generator, shape: tuple, steps: int):
-        self.blocks = (np.empty(shape), np.empty(shape))
-        self.free, self.filled = threading.Semaphore(1), threading.Semaphore(0)
-        self.stop, self.error, self.taken = False, None, 0
-        self.worker = threading.Thread(target=self.fill, args=(rng, steps), daemon=True)
-        self.worker.start()
-
-    def fill(self, rng: np.random.Generator, steps: int) -> None:
-        try:
-            for k in range(steps):
-                self.free.acquire()
-                if self.stop:
-                    return
-                rng.random(out=self.blocks[k % 2])
-                self.filled.release()
-        except BaseException as exc:  # re-raised by ``random``
-            self.error = exc
-            self.filled.release()
-
-    def random(self, out=None) -> np.ndarray:
-        """The next step's block, once drawn; ``out`` is ignored.  Each call
-        frees the block the last call returned for the worker to refill."""
-        self.free.release()
-        self.filled.acquire()
-        if self.error is not None:
-            raise self.error
-        self.taken += 1
-        return self.blocks[(self.taken - 1) % 2]
-
-    def close(self) -> None:
-        self.stop = True
-        self.free.release()
-        self.worker.join()
+def draw_blocks(
+    rng: np.random.Generator, free: queue.SimpleQueue, drawn: queue.SimpleQueue
+) -> None:
+    """Fill each block taken from ``free`` with ``rng.random(out=block)`` and put it
+    on ``drawn``, until ``free`` gives ``None``; an exception is put on ``drawn`` instead."""
+    try:
+        while (block := free.get()) is not None:
+            drawn.put(rng.random(out=block))
+    except BaseException as exc:  # raised again by run_pso
+        drawn.put(exc)
 
 
 PREFETCH_DRAWS = 1 << 16
@@ -282,23 +245,39 @@ PREFETCH_DRAWS = 1 << 16
 def run_pso(spec: BenchmarkSpec, params: PsoParams, seed: int) -> RunTrace:
     """Full seeded PSO run; records the global best after every iteration.
 
-    Steps of ``PREFETCH_DRAWS`` or more draws take them from a ``Prefetch``
-    (below it, its hand-offs cost more than the draws they hide), joined
-    before this returns or raises; the trace has the same bits.
+    Steps of ``PREFETCH_DRAWS`` or more draws have them made one step ahead by
+    a ``draw_blocks`` thread (below it, its hand-offs cost more than the draws
+    they hide).  It makes exactly one ``rng.random`` call per step, in order, so
+    the trace has the same bits, and it is joined before this returns or raises.
     Raises ``ConfigError`` if ``params`` break ``velocity_rule`` in ``spec``'s box.
     """
     check(velocity_rule("pso", params, spec.lower, spec.upper))
     rng = np.random.default_rng(seed)
     population, gbest = init_population(spec, params.population_size, rng)
+    steps = params.max_iterations
+    trace = np.empty(steps, dtype=np.float64)
     shape = (2,) + population.positions.shape
-    prefetch = math.prod(shape) >= PREFETCH_DRAWS
-    source = Prefetch(rng, shape, params.max_iterations) if prefetch else rng
-    trace = np.empty(params.max_iterations, dtype=np.float64)
-    try:
-        for i in range(params.max_iterations):
-            gbest = pso_step(population, gbest, spec, params, source)
+    if math.prod(shape) < PREFETCH_DRAWS:
+        for i in range(steps):
+            draws = rng.random(out=population.step_buffers[0])
+            gbest = pso_step(population, gbest, spec, params, draws)
             trace[i] = gbest.fitness
+        return RunTrace(best_fitness=trace, final_fitness=gbest.fitness, seed=seed)
+    free, drawn = queue.SimpleQueue(), queue.SimpleQueue()
+    for _ in range(min(2, steps)):
+        free.put(np.empty(shape))
+    worker = threading.Thread(target=draw_blocks, args=(rng, free, drawn), daemon=True)
+    worker.start()
+    try:
+        for i in range(steps):
+            draws = drawn.get()
+            if isinstance(draws, BaseException):
+                raise draws
+            gbest = pso_step(population, gbest, spec, params, draws)
+            trace[i] = gbest.fitness
+            if i + 2 < steps:  # a block for step i + 2
+                free.put(draws)
     finally:
-        if prefetch:
-            source.close()
+        free.put(None)
+        worker.join()
     return RunTrace(best_fitness=trace, final_fitness=gbest.fitness, seed=seed)

@@ -604,7 +604,8 @@ def test_single_swarm_step_equals_full_dimension_pso_step():
     _, best_b = init_population(spec, 12, mirror)
     gbest = best_a if best_a.fitness <= best_b.fitness else best_b
     mirror.random()  # the population-selection draw
-    gbest = pso_step(reference, gbest, spec, pso_p, mirror)
+    draws = mirror.random(out=reference.step_buffers[0])
+    gbest = pso_step(reference, gbest, spec, pso_p, draws)
 
     aio_step(state, spec, params, 0, rng)
 
@@ -842,7 +843,8 @@ def test_population_views_write_through():
 
     aio_step(state, spec, params, 0, rng)
     mirror.random()  # the population-selection draw
-    gbest = pso_step(reference, gbest, spec, pso_p, mirror)
+    draws = mirror.random(out=reference.step_buffers[0])
+    gbest = pso_step(reference, gbest, spec, pso_p, draws)
 
     assert state.context.gbest_fitness == gbest.fitness == 0.0
     assert state.pop_b.pbest_fitness[2] == 0.0

@@ -121,7 +121,8 @@ def test_bench_state_checks_pass_on_real_pso_steps(bench):
     rng = np.random.default_rng(7)
     population, gbest = init_population(spec, params.population_size, rng)
     for _ in range(30):
-        previous, gbest = gbest, pso_step(population, gbest, spec, params, rng)
+        draws = rng.random(out=population.step_buffers[0])
+        previous, gbest = gbest, pso_step(population, gbest, spec, params, draws)
         assert workloads.StepWorkload.pso_failures((population, previous, spec), gbest) == []
     gbest.fitness -= 1
     assert workloads.StepWorkload.pso_failures((population, gbest, spec), gbest) == [

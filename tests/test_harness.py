@@ -24,8 +24,9 @@ from aiopt import (
     run_pso,
     write_csv,
 )
+from aiopt.automata import AutomatonBank
 from aiopt.cli import main
-from aiopt.pso import RunTrace
+from aiopt.pso import RunTrace, init_population
 
 MINIMAL_AIO = '<aio><super-component type="pso"/></aio>'
 
@@ -157,6 +158,44 @@ def test_rejected_documents_name_the_problem(document, fragment):
     with pytest.raises(ConfigError) as err:
         parse_config(document)
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize("build,message", [
+    pytest.param(lambda: PsoParams(population_size=2.5),
+                 "<population-size> must be an integer, got 2.5", id="population-size"),
+    pytest.param(lambda: PsoParams(max_iterations=2.0),
+                 "<iterations> must be an integer, got 2.0", id="iterations"),
+    pytest.param(lambda: PsoParams(max_iterations=True),
+                 "<iterations> must be an integer, got True", id="iterations-bool"),
+    pytest.param(lambda: AioParams(swarm_count=2.0),
+                 "<tdr-factor> must be an integer, got 2.0", id="tdr-factor"),
+    pytest.param(lambda: ExperimentConfig("pso", runs=1.5),
+                 "<runs> must be an integer, got 1.5", id="runs"),
+    pytest.param(lambda: ExperimentConfig("pso", dims=4.0),
+                 "<dimensions> must be an integer, got 4.0", id="dimensions"),
+    pytest.param(lambda: ExperimentConfig("pso", base_seed=1.5),
+                 "<seed> must be an integer, got 1.5", id="seed"),
+    pytest.param(lambda: lookup("sphere", 4.5),
+                 "<dimensions> must be an integer, got 4.5", id="lookup-dimensions"),
+    pytest.param(lambda: init_population(lookup("sphere", 4), 2.5, np.random.default_rng(0)),
+                 "<population-size> must be an integer, got 2.5", id="init-population-size"),
+    pytest.param(lambda: AutomatonBank(-1, 2, 0.1, 0.1),
+                 "automaton count must be >= 0, got -1", id="bank-rows"),
+    pytest.param(lambda: AutomatonBank(3, 2.5, 0.1, 0.1),
+                 "automaton action count must be an integer, got 2.5", id="bank-actions"),
+])
+def test_counts_must_be_integers_in_library_code(build, message):
+    with pytest.raises(ConfigError) as err:
+        build()
+    assert str(err.value) == message
+
+
+def test_numpy_integer_counts_pass():
+    params = PsoParams(population_size=np.int64(4), max_iterations=np.int32(3))
+    config = ExperimentConfig("aio", dims=np.int64(4), runs=np.int8(1), base_seed=np.uint16(2),
+                              aio_params=AioParams(swarm_count=np.int64(2), pso=params))
+    assert [trace.best_fitness.size for trace in run_experiment(config)] == [3]
+    assert len(AutomatonBank(np.int64(3), np.int64(2), 0.1, 0.1)) == 3
 
 
 def test_every_bad_value_is_reported():

@@ -11,8 +11,8 @@ from aiopt import ConfigError, PsoParams, lookup, run_pso
 from aiopt.pso import (
     PREFETCH_DRAWS,
     Population,
-    Prefetch,
     SwarmBest,
+    draw_blocks,
     init_population,
     inertia_weight,
     pso_step,
@@ -24,6 +24,12 @@ from aiopt.pso import (
 def constant_factors(value, shape):
     """``r1`` and ``r2`` for ``update_velocities``, every entry ``value``."""
     return {"r1": np.full(shape, value), "r2": np.full(shape, value)}
+
+
+def drawn(population, rng):
+    """``pso_step``'s factor block from ``rng``, drawn in place as ``run_pso``
+    draws it below ``PREFETCH_DRAWS``."""
+    return rng.random(out=population.step_buffers[0])
 
 
 class PresetRng:
@@ -83,7 +89,7 @@ def test_fixed_inertia_ignores_iteration():
         pbest_fitness=spec.evaluate(positions),
     )
     gbest = SwarmBest(position=positions[0].copy(), fitness=14.0)
-    pso_step(population, gbest, spec, params, np.random.default_rng(0))
+    pso_step(population, gbest, spec, params, drawn(population, np.random.default_rng(0)))
     np.testing.assert_array_equal(population.velocities, 0.6 * velocities)
 
 
@@ -282,7 +288,7 @@ def test_step_finds_optimum_when_a_particle_sits_on_it():
     )
     gbest = SwarmBest(position=positions[1].copy(), fitness=np.inf)
     gbest = pso_step(population, gbest, spec, PsoParams(population_size=2),
-                     np.random.default_rng(0))
+                     drawn(population, np.random.default_rng(0)))
     assert population.pbest_fitness[0] == 0.0
     assert gbest.fitness == 0.0
 
@@ -294,7 +300,7 @@ def test_step_never_worsens_gbest():
     population, gbest = init_population(spec, 20, rng)
     for _ in range(100):
         previous = gbest.fitness
-        gbest = pso_step(population, gbest, spec, params, rng)
+        gbest = pso_step(population, gbest, spec, params, drawn(population, rng))
         assert gbest.fitness <= previous
 
 
@@ -304,7 +310,7 @@ def test_step_keeps_positions_in_box():
     rng = np.random.default_rng(123)
     population, gbest = init_population(spec, 15, rng)
     for _ in range(50):
-        gbest = pso_step(population, gbest, spec, params, rng)
+        gbest = pso_step(population, gbest, spec, params, drawn(population, rng))
         assert np.all(population.positions >= spec.lower)
         assert np.all(population.positions <= spec.upper)
         assert np.all(np.abs(population.velocities) <= spec.upper - spec.lower)
@@ -317,7 +323,7 @@ def test_step_deterministic_from_identical_state():
     def one_step():
         rng = np.random.default_rng(77)
         population, gbest = init_population(spec, 10, rng)
-        gbest = pso_step(population, gbest, spec, params, rng)
+        gbest = pso_step(population, gbest, spec, params, drawn(population, rng))
         return population.positions, gbest.fitness
 
     first_positions, first_fitness = one_step()
@@ -334,12 +340,12 @@ def test_step_moves_the_population_in_place():
     positions, velocities = population.positions, population.velocities
     for _ in range(5):
         before = positions.copy()
-        gbest = pso_step(population, gbest, spec, params, rng)
+        gbest = pso_step(population, gbest, spec, params, drawn(population, rng))
         assert population.positions is positions
         assert population.velocities is velocities
         assert not np.array_equal(positions, before)
     draws, diff = population.step_buffers
-    pso_step(population, gbest, spec, params, rng)
+    pso_step(population, gbest, spec, params, drawn(population, rng))
     again = population.step_buffers
     assert np.shares_memory(draws, again[0]) and np.shares_memory(diff, again[1])
     assert not np.shares_memory(draws, diff)
@@ -428,10 +434,10 @@ def test_run_matches_steps_drawn_in_place(monkeypatch, size, dims, prefetched):
     made = []
 
     def counted(*args):
-        made.append(Prefetch(*args))
-        return made[-1]
+        made.append(None)
+        draw_blocks(*args)
 
-    monkeypatch.setattr("aiopt.pso.Prefetch", counted)
+    monkeypatch.setattr("aiopt.pso.draw_blocks", counted)
     spec = lookup("sphere", dims)
     params = PsoParams(population_size=size, max_iterations=20)
     interval = sys.getswitchinterval()
@@ -445,7 +451,7 @@ def test_run_matches_steps_drawn_in_place(monkeypatch, size, dims, prefetched):
     population, gbest = init_population(spec, size, rng)
     expected = []
     for _ in range(20):
-        gbest = pso_step(population, gbest, spec, params, rng)
+        gbest = pso_step(population, gbest, spec, params, drawn(population, rng))
         expected.append(gbest.fitness)
     assert trace.best_fitness.tobytes() == np.array(expected).tobytes()
 
@@ -485,3 +491,25 @@ def test_prefetched_run_raises_a_draw_failure(monkeypatch):
     outcome = guarded(run)
     assert isinstance(outcome, RuntimeError) and str(outcome) == "draw failed"
     assert len(threads) == 1 and threads[0] is not caller[0]
+
+
+@pytest.mark.parametrize("steps", [0, 1, 2, 3, 20])
+def test_prefetched_run_draws_once_per_step_off_the_caller(monkeypatch, steps):
+    threads = []
+
+    class CountedDraws(np.random.Generator):
+        def random(self, *args, **kwargs):
+            threads.append(threading.current_thread())
+            return super().random(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: CountedDraws(np.random.PCG64(seed)))
+    params = PsoParams(population_size=50, max_iterations=steps)
+    caller = []
+
+    def run():
+        caller.append(threading.current_thread())
+        return run_pso(lookup("sphere", 1000), params, seed=1)
+
+    trace = guarded(run)
+    assert trace.best_fitness.size == steps
+    assert len(threads) == steps and caller[0] not in threads
