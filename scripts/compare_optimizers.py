@@ -14,7 +14,6 @@ import sys
 
 from aiopt import (
     AioParams,
-    ConfigError,
     ExperimentConfig,
     PsoParams,
     aggregate,
@@ -22,6 +21,7 @@ from aiopt import (
     write_csv,
 )
 from aiopt.benchmarks import FUNCTIONS
+from aiopt.errors import USER_ERRORS
 
 
 def parse_args(argv):
@@ -70,7 +70,7 @@ def main(argv=None):
                   f"{stats.median_final:13.4e}")
             if config.output_path is not None:
                 write_csv(stats, config.output_path)
-    except (ConfigError, ValueError, OSError, MemoryError) as exc:
+    except USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -12,7 +12,8 @@ Example:
 import argparse
 import sys
 
-from aiopt import AioParams, ConfigError, ExperimentConfig, PsoParams, aggregate, run_experiment
+from aiopt import AioParams, ExperimentConfig, PsoParams, aggregate, run_experiment
+from aiopt.errors import USER_ERRORS
 
 
 def parse_args(argv):
@@ -51,7 +52,7 @@ def main(argv=None):
             stats = aggregate(run_experiment(config))
             print(f"{config.aio_params.swarm_count:6d} {stats.mean_final:12.4e} "
                   f"{stats.median_final:13.4e} {stats.min_final:12.4e}")
-    except (ConfigError, ValueError, OSError, MemoryError) as exc:
+    except USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

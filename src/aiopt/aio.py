@@ -26,9 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .automata import AutomatonBank, rate_rules
+from .automata import AutomatonBank
 from .benchmarks import BenchmarkSpec
-from .errors import check, count_rule
+from .errors import check, count_rule, number_rule
 from .pso import (
     Population,
     PsoParams,
@@ -58,11 +58,11 @@ class AioParams:
     def __post_init__(self):
         check(
             count_rule("<tdr-factor>", self.swarm_count, 1),
-            (0.0 < self.elite_factor <= 1.0,
-             f"<elite-factor> must be > 0 and <= 1, got {self.elite_factor}"),
-            (0.0 <= self.mutation_rate <= 1.0,
-             f"<mutation-rate> must be >= 0 and <= 1, got {self.mutation_rate}"),
-            *rate_rules(self.la_reward, self.la_penalty),
+            number_rule("<elite-factor>", self.elite_factor, 0, 1, above=True),
+            number_rule("<mutation-rate>", self.mutation_rate, 0, 1),
+            number_rule("<la-reward>", self.la_reward, 0, 1),
+            number_rule("<la-penalty>", self.la_penalty, 0, 1),
+            (isinstance(self.pso, PsoParams), f"pso must be a PsoParams, got {self.pso!r}"),
         )
 
 
@@ -124,8 +124,8 @@ class AioState:
 
 
 def elite_count(elite_factor: float, population_size: int) -> int:
-    """Number of particles exempt from mutation: ceil(factor * size)."""
-    return min(population_size, max(1, math.ceil(elite_factor * population_size)))
+    """Particles exempt from mutation: ceil(factor * size - 1e-9), so 0.14 of 50 is 7."""
+    return min(population_size, max(1, math.ceil(elite_factor * population_size - 1e-9)))
 
 
 def init_aio_state(spec: BenchmarkSpec, params: AioParams, rng: np.random.Generator) -> AioState:

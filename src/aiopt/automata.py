@@ -16,19 +16,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import check, count_rule
+from .errors import check, count_rule, number_rule
 
 REWARD = 0
 PENALTY = 1
 
 # Row sums further than this from 1 are renormalized after an update.
 DRIFT_TOLERANCE = 1e-12
-
-
-def rate_rules(reward_rate: float, penalty_rate: float) -> list[tuple[bool, str]]:
-    """The learning-rate rules, for ``check``; each message names its XML tag."""
-    return [(0.0 <= reward_rate <= 1.0, f"<la-reward> must be >= 0 and <= 1, got {reward_rate}"),
-            (0.0 <= penalty_rate <= 1.0, f"<la-penalty> must be >= 0 and <= 1, got {penalty_rate}")]
 
 
 class AutomatonBank:
@@ -44,9 +38,9 @@ class AutomatonBank:
 
     def __init__(self, count: int, action_count: int, reward_rate: float, penalty_rate: float):
         check(count_rule("automaton count", count, 0),
-              count_rule("automaton action count", action_count, 2,
-                         f"automaton needs at least 2 actions, got {action_count}"),
-              *rate_rules(reward_rate, penalty_rate))
+              count_rule("automaton action count", action_count, 2),
+              number_rule("<la-reward>", reward_rate, 0, 1),
+              number_rule("<la-penalty>", penalty_rate, 0, 1))
         self.reward_rate = float(reward_rate)
         self.penalty_rate = float(penalty_rate)
         self.probabilities = np.full((count, action_count), 1.0 / action_count)

@@ -225,7 +225,8 @@ def lookup_rules(name: str, dims: int) -> list[tuple[bool, str]]:
     """The ``check`` rules that ``lookup`` enforces on its arguments."""
     valid = ", ".join(sorted(FUNCTIONS))
     return [
-        (name in FUNCTIONS, f"<benchmark> must be one of {valid}, got {name!r}"),
+        (isinstance(name, str) and name in FUNCTIONS,
+         f"<benchmark> must be one of {valid}, got {name!r}"),
         count_rule("<dimensions>", dims, 2),
     ]
 

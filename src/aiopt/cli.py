@@ -5,7 +5,7 @@ import argparse
 import sys
 
 from .config import load_config
-from .errors import ConfigError
+from .errors import USER_ERRORS
 from .harness import ALGORITHMS, aggregate, run_experiment, write_csv
 
 
@@ -43,7 +43,7 @@ def main(argv=None) -> int:
         stats = aggregate(traces)
         out = config.output_path or f"{config.algorithm}_{config.benchmark}.csv"
         write_csv(stats, out)
-    except (ConfigError, ValueError, OSError, MemoryError) as exc:
+    except USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -101,12 +101,13 @@ def _collect_leaves(element: ET.Element, leaves: dict, allow_super: bool) -> Non
             raise ConfigError(f"unknown tag <{child.tag}>")
 
 
-def parse_config(text: str, **overrides) -> ExperimentConfig:
+def parse_config(text: str | bytes, **overrides) -> ExperimentConfig:
     """Parse an XML experiment document; absent parameters take defaults, and
-    ``overrides`` (``ExperimentConfig`` fields) replace the document's values."""
+    ``overrides`` (``ExperimentConfig`` fields) replace the document's values.
+    Bytes are decoded as the document's declaration or byte order mark says."""
     try:
         root = ET.fromstring(text)
-    except ET.ParseError as exc:
+    except (ET.ParseError, LookupError, ValueError) as exc:  # the last two: bad encodings
         raise ConfigError(f"malformed XML: {exc}") from exc
     if root.tag not in ALGORITHMS:
         raise ConfigError(f"root tag must be <pso> or <aio>, got <{root.tag}>")
@@ -128,7 +129,7 @@ def parse_config(text: str, **overrides) -> ExperimentConfig:
 def load_config(path: str, **overrides) -> ExperimentConfig:
     """Read and parse an XML experiment file; see ``parse_config``."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, "rb") as fh:
             text = fh.read()
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None

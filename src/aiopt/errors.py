@@ -1,5 +1,8 @@
 import numbers
 
+# What the CLI and the scripts report as one ``error:`` line; a ConfigError is a ValueError.
+USER_ERRORS = (ValueError, OSError, MemoryError)
+
 
 class ConfigError(ValueError):
     """Invalid or out-of-range configuration value."""
@@ -12,13 +15,21 @@ def check(*rules: tuple[bool, str]) -> None:
         raise ConfigError("; ".join(failed))
 
 
-def count_rule(name: str, value, least: int, message: str | None = None) -> tuple[bool, str]:
-    """``value`` must be an integer of at least ``least``; a rule for ``check``.
-
-    A ``bool``, or anything that is not ``numbers.Integral``, fails before it is
-    compared, with ``"<name> must be an integer"``; numpy integers pass.  Out of
-    range, the message is ``message``, or ``"<name> must be >= <least>"``.
-    """
+def count_rule(name: str, value, least: int) -> tuple[bool, str]:
+    """``value`` must be an integer ``>= least``; a rule for ``check``.  A ``bool`` or any
+    non-``numbers.Integral`` fails first, with ``"<name> must be an integer"``; numpy ints pass."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         return False, f"{name} must be an integer, got {value!r}"
-    return value >= least, message or f"{name} must be >= {least}, got {value}"
+    return value >= least, f"{name} must be >= {least}, got {value}"
+
+
+def number_rule(name: str, value, least, most=None, above: bool = False) -> tuple[bool, str]:
+    """``value`` must be a number ``> least`` if ``above``, else ``>= least``, and ``<= most``
+    if given; a rule for ``check``.  A ``bool`` or anything not ``numbers.Real`` fails first,
+    with ``"<name> must be a number"``; numpy scalars and ``Fraction``s pass.  NaN fails."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False, f"{name} must be a number, got {value!r}"
+    if (value > least if above else value >= least) and (most is None or value <= most):
+        return True, ""  # most rules pass: format no message for them
+    bounds = f"{'>' if above else '>='} {least}" + ("" if most is None else f" and <= {most}")
+    return False, f"{name} must be {bounds}, got {value}"

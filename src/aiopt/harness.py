@@ -31,18 +31,16 @@ class ExperimentConfig:
         return self.aio_params.pso
 
     def __post_init__(self):
-        rules = [
-            (self.algorithm in ALGORITHMS,
-             f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}"),
-            count_rule("<runs>", self.runs, 1),
-            count_rule("<seed>", self.base_seed, 0),
-            *lookup_rules(self.benchmark, self.dims),
-        ]
-        if self.benchmark in DOMAINS:
-            rules.append(velocity_rule(self.algorithm, self.pso_params, *DOMAINS[self.benchmark]))
-        if self.algorithm == "aio":
-            rules.append(swarm_count_rule(self.aio_params.swarm_count, self.dims))
-        check(*rules)
+        check((self.algorithm in ALGORITHMS,
+               f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}"),
+              count_rule("<runs>", self.runs, 1),
+              count_rule("<seed>", self.base_seed, 0),
+              *lookup_rules(self.benchmark, self.dims),
+              (isinstance(self.aio_params, AioParams),
+               f"aio_params must be an AioParams, got {self.aio_params!r}"))
+        check(velocity_rule(self.algorithm, self.pso_params, *DOMAINS[self.benchmark]),
+              swarm_count_rule(self.aio_params.swarm_count, self.dims)
+              if self.algorithm == "aio" else (True, ""))
 
 
 @dataclass

@@ -16,15 +16,12 @@ from functools import cached_property
 import numpy as np
 
 from .benchmarks import BenchmarkSpec
-from .errors import check, count_rule
+from .errors import check, count_rule, number_rule
 
 
 @dataclass(frozen=True)
 class PsoParams:
-    """Swarm update constants and iteration budget.
-
-    Each range message names the XML tag that sets the field.
-    """
+    """Swarm update constants and iteration budget; each message names its field's XML tag."""
 
     c1: float = 1.49445
     c2: float = 1.49445
@@ -36,16 +33,16 @@ class PsoParams:
 
     def __post_init__(self):
         check(
-            (self.c1 > 0, f"<c1> must be > 0, got {self.c1}"),
-            (self.c2 > 0, f"<c2> must be > 0, got {self.c2}"),
-            (self.w_fixed >= 0, f"<w> must be >= 0, got {self.w_fixed}"),
-            (self.w_max >= 0, f"<w-max> must be >= 0, got {self.w_max}"),
-            (self.w_min >= 0, f"<w-min> must be >= 0, got {self.w_min}"),
-            (self.w_min < self.w_max,
-             f"<w-min> must be < <w-max>, got {self.w_min} >= {self.w_max}"),
+            number_rule("<c1>", self.c1, 0, above=True),
+            number_rule("<c2>", self.c2, 0, above=True),
+            number_rule("<w>", self.w_fixed, 0),
+            number_rule("<w-max>", self.w_max, 0),
+            number_rule("<w-min>", self.w_min, 0),
             count_rule("<population-size>", self.population_size, 2),
             count_rule("<iterations>", self.max_iterations, 0),
         )
+        check((self.w_min < self.w_max,
+               f"<w-min> must be < <w-max>, got {self.w_min} >= {self.w_max}"))
 
 
 def velocity_rule(algorithm: str, params: PsoParams, lower: float, upper: float):
@@ -56,7 +53,10 @@ def velocity_rule(algorithm: str, params: PsoParams, lower: float, upper: float)
     ``w`` is ``<w>`` for ``"pso"`` and ``<w-max>``, the largest ``inertia_weight``, for ``"aio"``.
     """
     tag, w = ("<w>", params.w_fixed) if algorithm == "pso" else ("<w-max>", params.w_max)
-    bound = (w + params.c1 + params.c2) * (upper - lower)
+    try:  # float arithmetic overflows to inf, not to a warning
+        bound = (float(w) + float(params.c1) + float(params.c2)) * (upper - lower)
+    except OverflowError:  # an int or a Fraction beyond float64
+        bound = math.inf
     return (math.isfinite(bound),
             f"({tag} + <c1> + <c2>) * (upper - lower) must be finite, got "
             f"({w} + {params.c1} + {params.c2}) * ({upper} - {lower})")

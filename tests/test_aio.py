@@ -1,7 +1,9 @@
 """Adaptive optimizer: partitioning, context evaluation, reinforcement wiring,
 concentration, and full-run contracts."""
 import copy
+import math
 from dataclasses import FrozenInstanceError
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -127,6 +129,17 @@ def test_elite_count_values():
     assert elite_count(2 / 3, 24) == 16
     assert elite_count(1.0, 20) == 20
     assert elite_count(0.01, 50) == 1
+    # Float products one ulp above an integer: 0.14 * 50 == 7.000000000000001.
+    assert elite_count(0.14, 50) == 7
+    assert elite_count(0.28, 25) == 7
+    assert elite_count(0.56, 75) == 42
+
+
+def test_elite_count_of_two_decimal_factors_is_exact():
+    for k in range(1, 101):
+        for n in range(2, 201):
+            exact = math.ceil(Fraction(k, 100) * n)
+            assert elite_count(k / 100, n) == min(n, max(1, exact)), (k, n)
 
 
 # ------------------------------------------------------------------ init

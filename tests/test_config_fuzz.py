@@ -6,8 +6,11 @@ as the CLI's flags pass them.  Each one must either raise ``ConfigError``
 when parsed or run through ``run_experiment`` with no warning at all,
 giving finite traces that never increase, one entry per iteration.  ``run_pso`` and
 ``run_aio``, given the parameters of a parsed document and a drawn
-benchmark, must likewise raise ``ConfigError`` or run clean.
+benchmark, must likewise raise ``ConfigError`` or run clean.  In library
+code, a value of any type in one field or argument must either build or
+raise ``ConfigError``.
 """
+import math
 import warnings
 from collections import Counter
 from xml.sax.saxutils import escape
@@ -16,7 +19,19 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aiopt import ConfigError, lookup, parse_config, run_aio, run_experiment, run_pso
+from aiopt import (
+    AioParams,
+    AutomatonBank,
+    ConfigError,
+    ExperimentConfig,
+    LearningAutomaton,
+    PsoParams,
+    lookup,
+    parse_config,
+    run_aio,
+    run_experiment,
+    run_pso,
+)
 from aiopt.benchmarks import FUNCTIONS
 from aiopt.config import TAGS
 
@@ -140,3 +155,59 @@ def test_fuzzed_documents_are_rejected_or_run_clean():
     assert outcomes["rejected"] >= total / 8, outcomes
     # Most library calls run; the box rule rejects a few on a wider box.
     assert library["ran"] >= sum(library.values()) / 2, library
+
+
+# Each callable with valid keyword arguments, and the ones that size an array.
+CALLABLES = [
+    (PsoParams, dict(c1=1.5, c2=1.5, w_fixed=0.7, w_max=0.9, w_min=0.4, population_size=4,
+                     max_iterations=3), ()),
+    (AioParams, dict(swarm_count=2, elite_factor=0.5, mutation_rate=0.1, la_reward=0.1,
+                     la_penalty=0.1, pso=PsoParams()), ()),
+    (ExperimentConfig, dict(algorithm="aio", benchmark="sphere", dims=4, runs=1, base_seed=0,
+                            aio_params=AioParams(swarm_count=2), output_path=None), ()),
+    (AutomatonBank, dict(count=3, action_count=2, reward_rate=0.1, penalty_rate=0.1),
+     ("count", "action_count")),
+    (LearningAutomaton, dict(action_count=2, reward_rate=0.1, penalty_rate=0.1),
+     ("action_count",)),
+    (lookup, dict(name="sphere", dims=4), ("dims",)),
+]
+
+
+def any_value(sizes_array):
+    """Values of every kind a caller might pass.  Ints that size an array stay
+    small: a count too large to allocate raises MemoryError or ValueError,
+    which the CLI reports as a user error, and a large one would allocate."""
+    ints = st.integers(-3, 40)
+    if not sizes_array:
+        ints = st.one_of(ints, st.sampled_from([2**64, -(2**64), 10**400]))
+    return st.one_of(
+        st.none(), st.booleans(), st.text(max_size=3), st.complex_numbers(), st.decimals(),
+        st.lists(st.integers(), max_size=2), st.sampled_from([math.nan, math.inf, -math.inf]),
+        ints, st.floats(), st.fractions(), st.sampled_from(["pso", "aio", "sphere"]),
+        st.floats().map(np.float64), st.floats(width=32).map(np.float32),
+        st.integers(-3, 40).map(np.int64), st.booleans().map(np.bool_),
+    )
+
+
+def test_any_value_in_library_code_builds_or_raises_config_error():
+    outcomes = Counter()
+
+    @settings(deadline=None, max_examples=600)
+    @given(st.data())
+    def check(data):
+        build, kwargs, sized = data.draw(st.sampled_from(CALLABLES))
+        name = data.draw(st.sampled_from(sorted(kwargs)))
+        value = data.draw(any_value(name in sized), label=name)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                build(**{**kwargs, name: value})
+                outcomes["built"] += 1
+            except ConfigError:
+                outcomes["rejected"] += 1
+
+    check()
+    # Both outcomes must be a real share of the draws; about one in eight builds.
+    total = sum(outcomes.values())
+    assert outcomes["built"] >= total / 20, outcomes
+    assert outcomes["rejected"] >= total / 2, outcomes

@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +26,7 @@ from aiopt import (
     run_pso,
     write_csv,
 )
-from aiopt.automata import AutomatonBank
+from aiopt.automata import AutomatonBank, LearningAutomaton
 from aiopt.cli import main
 from aiopt.pso import RunTrace, init_population
 
@@ -190,6 +192,52 @@ def test_counts_must_be_integers_in_library_code(build, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("build,message", [
+    pytest.param(lambda: PsoParams(c1="a"), "<c1> must be a number, got 'a'", id="c1-str"),
+    pytest.param(lambda: PsoParams(c1=True), "<c1> must be a number, got True", id="c1-bool"),
+    pytest.param(lambda: PsoParams(w_fixed=1j), "<w> must be a number, got 1j", id="w-complex"),
+    pytest.param(lambda: AioParams(elite_factor=None),
+                 "<elite-factor> must be a number, got None", id="elite-factor"),
+    pytest.param(lambda: AioParams(mutation_rate=Decimal("0.1")),
+                 "<mutation-rate> must be a number, got Decimal('0.1')", id="mutation-rate"),
+    pytest.param(lambda: AutomatonBank(3, 2, "a", 0.1),
+                 "<la-reward> must be a number, got 'a'", id="bank-reward"),
+    pytest.param(lambda: LearningAutomaton(2, 0.1, None),
+                 "<la-penalty> must be a number, got None", id="automaton-penalty"),
+    pytest.param(lambda: AutomatonBank(3, 1, 0.1, 0.1),
+                 "automaton action count must be >= 2, got 1", id="bank-actions"),
+    pytest.param(lambda: ExperimentConfig("aio", dims="4"),
+                 "<dimensions> must be an integer, got '4'", id="dimensions-str"),
+    pytest.param(lambda: ExperimentConfig("pso", benchmark=["x"]),
+                 "<benchmark> must be one of ackley, griewank, rastrigin, rosenbrock, sphere, "
+                 "got ['x']", id="benchmark-list"),
+    pytest.param(lambda: AioParams(pso=None), "pso must be a PsoParams, got None", id="pso"),
+    pytest.param(lambda: ExperimentConfig("pso", aio_params=PsoParams(population_size=4)),
+                 f"aio_params must be an AioParams, got {PsoParams(population_size=4)!r}",
+                 id="aio-params"),
+    # Relation rules run only once the fields they relate have passed.
+    pytest.param(lambda: PsoParams(w_min="x"), "<w-min> must be a number, got 'x'",
+                 id="w-min-before-relation"),
+    pytest.param(lambda: PsoParams(c1=-1, w_min=0.9, w_max=0.4), "<c1> must be > 0, got -1",
+                 id="fields-before-relation"),
+    pytest.param(lambda: ExperimentConfig("aio", dims=3, runs=0,
+                                          aio_params=AioParams(swarm_count=5)),
+                 "<runs> must be >= 1, got 0", id="runs-before-swarm-count"),
+])
+def test_numbers_and_parameter_sets_are_typed_in_library_code(build, message):
+    with pytest.raises(ConfigError) as err:
+        build()
+    assert str(err.value) == message
+
+
+def test_numpy_and_fraction_numbers_pass():
+    params = PsoParams(c1=np.float32(1.5), c2=np.float64(1.5), w_max=Fraction(9, 10), w_min=0)
+    config = ExperimentConfig("aio", dims=4, aio_params=AioParams(
+        swarm_count=2, elite_factor=Fraction(2, 3), mutation_rate=np.float16(0.1), pso=params))
+    assert config.pso_params is params
+    assert len(AutomatonBank(2, 2, Fraction(1, 10), np.float32(0.5))) == 2
+
+
 def test_numpy_integer_counts_pass():
     params = PsoParams(population_size=np.int64(4), max_iterations=np.int32(3))
     config = ExperimentConfig("aio", dims=np.int64(4), runs=np.int8(1), base_seed=np.uint16(2),
@@ -222,6 +270,28 @@ def test_load_config_round_trip(tmp_path):
     assert config.benchmark == "griewank"
 
 
+@pytest.mark.parametrize("encoding, bom", [("iso-8859-1", ""), ("utf-8", "\ufeff"),
+                                           ("utf-16", "")])
+def test_load_config_honours_the_declared_encoding(tmp_path, encoding, bom):
+    path = tmp_path / "exp.xml"
+    text = (f'{bom}<?xml version="1.0" encoding="{encoding}"?>\n'
+            "<!-- Réglages d'essai --><pso><benchmark>griewank</benchmark></pso>")
+    path.write_bytes(text.encode(encoding))
+    assert load_config(str(path)).benchmark == "griewank"
+
+
+@pytest.mark.parametrize("document", [
+    "<pso><!-- caf\xe9 --></pso>".encode("iso-8859-1"),  # undeclared, so read as UTF-8
+    b'<?xml version="1.0" encoding="no-such-codec"?><pso/>',
+    b'<?xml version="1.0" encoding="shift_jis"?><pso/>',
+])
+def test_load_config_reports_undecodable_bytes_as_malformed_xml(tmp_path, document):
+    path = tmp_path / "exp.xml"
+    path.write_bytes(document)
+    with pytest.raises(ConfigError, match="malformed XML"):
+        load_config(str(path))
+
+
 def test_load_config_missing_file_names_the_path():
     with pytest.raises(ConfigError) as err:
         load_config("no/such/file.xml")
@@ -249,6 +319,12 @@ def test_built_configs_are_frozen(build, field):
 @pytest.mark.parametrize("runner, params", [
     (run_pso, PsoParams(c1=1e308, c2=1e308, population_size=4, max_iterations=3)),
     (run_aio, AioParams(pso=PsoParams(c1=1e308, c2=1e308, population_size=4, max_iterations=3))),
+    # Numbers that float64 arithmetic would overflow on or cannot hold.
+    (run_pso, PsoParams(c1=np.float64(1e308), c2=np.float64(1e308), population_size=4,
+                        max_iterations=3)),
+    (run_pso, PsoParams(c1=10**400, population_size=4, max_iterations=3)),
+    (run_aio, AioParams(pso=PsoParams(c2=Fraction(10**400), population_size=4,
+                                      max_iterations=3))),
 ])
 def test_library_runs_reject_overflowing_constants_before_any_warning(runner, params):
     with warnings.catch_warnings():
@@ -473,6 +549,31 @@ def test_cli_default_output_name(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(["--config", config]) == 0
     assert (tmp_path / "pso_sphere.csv").exists()
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SHIPPED = {
+    "aio.xml": ExperimentConfig(
+        "aio", benchmark="rastrigin", dims=30, runs=5, base_seed=1,
+        output_path="aio_rastrigin.csv", aio_params=AioParams(
+            swarm_count=5, elite_factor=2 / 3, mutation_rate=0.1, la_reward=0.1, la_penalty=0.1,
+            pso=PsoParams(c1=1.49445, c2=1.49445, w_max=0.9, w_min=0.4, population_size=50,
+                          max_iterations=2000))),
+    "pso.xml": ExperimentConfig(
+        "pso", benchmark="sphere", dims=30, runs=5, base_seed=1, output_path="pso_sphere.csv",
+        aio_params=AioParams(pso=PsoParams(c1=1.49445, c2=1.49445, w_fixed=0.74,
+                                           population_size=50, max_iterations=2000))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED))
+def test_shipped_configs_hold_their_values_and_run(tmp_path, capsys, name):
+    path = str(CONFIGS / name)
+    assert load_config(path) == SHIPPED[name]
+    out = tmp_path / "curve.csv"
+    assert main(["--config", path, "--runs", "1", "--out", str(out)]) == 0
+    assert len(out.read_text(encoding="utf-8").splitlines()) == 2001
+    assert "runs=1 iterations=2000" in capsys.readouterr().out
 
 
 def test_cli_missing_config_file(capsys):
