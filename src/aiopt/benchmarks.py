@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import check, count_rule
+from .errors import ConfigError, check, count_rule, shown
 
 
 def _as_points(x, min_dims: int = 1) -> np.ndarray:
@@ -232,10 +232,14 @@ def lookup_rules(name: str, dims: int) -> list[tuple[bool, str]]:
 
 
 def lookup(name: str, dims: int) -> BenchmarkSpec:
-    """Resolve a benchmark name to its spec with the standard domain."""
+    """Resolve a benchmark name to its spec with the standard domain; raises
+    ``ConfigError`` naming ``<dimensions>`` if numpy cannot allocate its optimum."""
     check(*lookup_rules(name, dims))
     lower, upper = DOMAINS[name]
-    optimum = np.ones(dims) if name == "rosenbrock" else np.zeros(dims)
+    try:
+        optimum = np.ones(dims) if name == "rosenbrock" else np.zeros(dims)
+    except (ValueError, MemoryError) as exc:
+        raise ConfigError(f"<dimensions> is too large to allocate, got {shown(dims)}: {exc}") from exc
     return BenchmarkSpec(
         name=name,
         dims=dims,

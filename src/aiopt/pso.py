@@ -11,7 +11,6 @@ import math
 import queue
 import threading
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -21,7 +20,8 @@ from .errors import check, count_rule, number_rule
 
 @dataclass(frozen=True)
 class PsoParams:
-    """Swarm update constants and iteration budget; each message names its field's XML tag."""
+    """Swarm update constants and iteration budget; each message names its field's XML tag.
+    The constants are stored as floats once checked: one beyond float64 as ``inf``."""
 
     c1: float = 1.49445
     c2: float = 1.49445
@@ -41,8 +41,16 @@ class PsoParams:
             count_rule("<population-size>", self.population_size, 2),
             count_rule("<iterations>", self.max_iterations, 0),
         )
+        for name in ("c1", "c2", "w_fixed", "w_max", "w_min"):
+            try:  # each is >= 0 by now
+                value = float(getattr(self, name))
+            except OverflowError:  # an int or a Fraction beyond float64
+                value = math.inf
+            object.__setattr__(self, name, value)
         check((self.w_min < self.w_max,
-               f"<w-min> must be < <w-max>, got {self.w_min} >= {self.w_max}"))
+               f"<w-min> must be < <w-max>, got {self.w_min} >= {self.w_max}"),
+              (self.c1 > 0 < self.c2,  # a positive Fraction can round to 0.0
+               f"<c1> and <c2> must be > 0 as floats, got {self.c1} and {self.c2}"))
 
 
 def velocity_rule(algorithm: str, params: PsoParams, lower: float, upper: float):
@@ -53,10 +61,7 @@ def velocity_rule(algorithm: str, params: PsoParams, lower: float, upper: float)
     ``w`` is ``<w>`` for ``"pso"`` and ``<w-max>``, the largest ``inertia_weight``, for ``"aio"``.
     """
     tag, w = ("<w>", params.w_fixed) if algorithm == "pso" else ("<w-max>", params.w_max)
-    try:  # float arithmetic overflows to inf, not to a warning
-        bound = (float(w) + float(params.c1) + float(params.c2)) * (upper - lower)
-    except OverflowError:  # an int or a Fraction beyond float64
-        bound = math.inf
+    bound = (w + params.c1 + params.c2) * (upper - lower)  # floats overflow to inf, not to a warning
     return (math.isfinite(bound),
             f"({tag} + <c1> + <c2>) * (upper - lower) must be finite, got "
             f"({w} + {params.c1} + {params.c2}) * ({upper} - {lower})")
@@ -70,21 +75,6 @@ class Population:
     velocities: np.ndarray
     pbest_positions: np.ndarray
     pbest_fitness: np.ndarray
-
-    @cached_property
-    def step_buffers(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(draws, diff)``: a ``(2, size, D)`` array that ``run_pso`` draws
-        a step's ``r1`` and ``r2`` into below ``PREFETCH_DRAWS`` (at or above
-        it, never written), and ``pso_step``'s ``(size, D)`` work array.
-
-        Views into one buffer, made on the first step.  At D = 1000 it is
-        1.2 MB, which glibc serves with mmap; releasing it at the end of a
-        run raises glibc's heap trim threshold to twice that, so set-ups
-        that follow a run keep their heap pages instead of faulting in
-        fresh ones.
-        """
-        work = np.empty((3,) + self.positions.shape)
-        return work[:2], work[2]
 
 
 @dataclass
@@ -191,13 +181,15 @@ def pso_step(
     spec: BenchmarkSpec,
     params: PsoParams,
     draws: np.ndarray,
+    work: np.ndarray,
 ) -> SwarmBest:
     """One synchronous iteration: evaluate, update bests, then move in place.
 
     Personal and global bests only change on strict improvement, so the
     returned global best never gets worse.  The inertia is always ``params.w_fixed``.
     ``draws`` is the step's ``(2, n, D)`` block of uniform factors ``r1`` and
-    ``r2``, which the move overwrites.
+    ``r2``, which the move overwrites; ``work`` is an ``(n, D)`` float64 array
+    whose contents the move overwrites and never reads.
     """
     fitness = np.asarray(spec.evaluate(population.positions), dtype=np.float64)
     improved = fitness < population.pbest_fitness
@@ -210,19 +202,9 @@ def pso_step(
             position=population.pbest_positions[best].copy(),
             fitness=float(population.pbest_fitness[best]),
         )
-    update_velocities(
-        population.positions,
-        population.velocities,
-        population.pbest_positions,
-        gbest.position,
-        params.w_fixed,
-        params.c1,
-        params.c2,
-        spec.upper - spec.lower,
-        draws[0],
-        draws[1],
-        population.step_buffers[1],
-    )
+    update_velocities(population.positions, population.velocities, population.pbest_positions,
+                      gbest.position, params.w_fixed, params.c1, params.c2,
+                      spec.upper - spec.lower, *draws, work)
     update_positions(population.positions, population.velocities, spec.lower, spec.upper)
     return gbest
 
@@ -249,6 +231,9 @@ def run_pso(spec: BenchmarkSpec, params: PsoParams, seed: int) -> RunTrace:
     a ``draw_blocks`` thread (below it, its hand-offs cost more than the draws
     they hide).  It makes exactly one ``rng.random`` call per step, in order, so
     the trace has the same bits, and it is joined before this returns or raises.
+    One ``(3, n, D)`` buffer holds a step's factors (at or above the threshold, the
+    first block drawn ahead) and its work row; at D = 1000 glibc serves it with mmap,
+    so freeing it raises the heap trim threshold and later set-ups keep their pages.
     Raises ``ConfigError`` if ``params`` break ``velocity_rule`` in ``spec``'s box.
     """
     check(velocity_rule("pso", params, spec.lower, spec.upper))
@@ -256,16 +241,16 @@ def run_pso(spec: BenchmarkSpec, params: PsoParams, seed: int) -> RunTrace:
     population, gbest = init_population(spec, params.population_size, rng)
     steps = params.max_iterations
     trace = np.empty(steps, dtype=np.float64)
-    shape = (2,) + population.positions.shape
-    if math.prod(shape) < PREFETCH_DRAWS:
+    home = np.empty((3,) + population.positions.shape)
+    draws, work = home[:2], home[2]
+    if draws.size < PREFETCH_DRAWS:
         for i in range(steps):
-            draws = rng.random(out=population.step_buffers[0])
-            gbest = pso_step(population, gbest, spec, params, draws)
+            gbest = pso_step(population, gbest, spec, params, rng.random(out=draws), work)
             trace[i] = gbest.fitness
         return RunTrace(best_fitness=trace, final_fitness=gbest.fitness, seed=seed)
     free, drawn = queue.SimpleQueue(), queue.SimpleQueue()
-    for _ in range(min(2, steps)):
-        free.put(np.empty(shape))
+    for block in (draws, np.empty_like(draws))[:steps]:
+        free.put(block)
     worker = threading.Thread(target=draw_blocks, args=(rng, free, drawn), daemon=True)
     worker.start()
     try:
@@ -273,7 +258,7 @@ def run_pso(spec: BenchmarkSpec, params: PsoParams, seed: int) -> RunTrace:
             draws = drawn.get()
             if isinstance(draws, BaseException):
                 raise draws
-            gbest = pso_step(population, gbest, spec, params, draws)
+            gbest = pso_step(population, gbest, spec, params, draws, work)
             trace[i] = gbest.fitness
             if i + 2 < steps:  # a block for step i + 2
                 free.put(draws)

@@ -617,8 +617,8 @@ def test_single_swarm_step_equals_full_dimension_pso_step():
     _, best_b = init_population(spec, 12, mirror)
     gbest = best_a if best_a.fitness <= best_b.fitness else best_b
     mirror.random()  # the population-selection draw
-    draws = mirror.random(out=reference.step_buffers[0])
-    gbest = pso_step(reference, gbest, spec, pso_p, draws)
+    home = np.empty((3,) + reference.positions.shape)
+    gbest = pso_step(reference, gbest, spec, pso_p, mirror.random(out=home[:2]), home[2])
 
     aio_step(state, spec, params, 0, rng)
 
@@ -856,8 +856,8 @@ def test_population_views_write_through():
 
     aio_step(state, spec, params, 0, rng)
     mirror.random()  # the population-selection draw
-    draws = mirror.random(out=reference.step_buffers[0])
-    gbest = pso_step(reference, gbest, spec, pso_p, draws)
+    home = np.empty((3,) + reference.positions.shape)
+    gbest = pso_step(reference, gbest, spec, pso_p, mirror.random(out=home[:2]), home[2])
 
     assert state.context.gbest_fitness == gbest.fitness == 0.0
     assert state.pop_b.pbest_fitness[2] == 0.0

@@ -120,9 +120,10 @@ def test_bench_state_checks_pass_on_real_pso_steps(bench):
     params = PsoParams(population_size=8, max_iterations=30)
     rng = np.random.default_rng(7)
     population, gbest = init_population(spec, params.population_size, rng)
+    home = np.empty((3,) + population.positions.shape)
     for _ in range(30):
-        draws = rng.random(out=population.step_buffers[0])
-        previous, gbest = gbest, pso_step(population, gbest, spec, params, draws)
+        draws = rng.random(out=home[:2])
+        previous, gbest = gbest, pso_step(population, gbest, spec, params, draws, home[2])
         assert workloads.StepWorkload.pso_failures((population, previous, spec), gbest) == []
     gbest.fitness -= 1
     assert workloads.StepWorkload.pso_failures((population, gbest, spec), gbest) == [

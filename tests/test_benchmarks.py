@@ -130,6 +130,14 @@ def test_lookup_rejects_single_dimension(name):
         lookup(name, 1)
 
 
+# Counts that numpy rejects before it tries to allocate anything.
+@pytest.mark.parametrize("dims", [2**63 - 1, 2**64, 10**5000], ids=["2^63-1", "2^64", "10^5000"])
+@pytest.mark.parametrize("name", ["rosenbrock", "sphere"])
+def test_lookup_names_dimensions_when_numpy_cannot_allocate(name, dims):
+    with pytest.raises(ConfigError, match="^<dimensions> is too large to allocate"):
+        lookup(name, dims)
+
+
 # ----------------------------------------------------------------- invariants
 
 @pytest.mark.parametrize("name", NAMES)

@@ -1,5 +1,6 @@
 """XML config parsing, experiment driving, aggregation, CSV output, and CLI."""
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -236,6 +237,41 @@ def test_numpy_and_fraction_numbers_pass():
         swarm_count=2, elite_factor=Fraction(2, 3), mutation_rate=np.float16(0.1), pso=params))
     assert config.pso_params is params
     assert len(AutomatonBank(2, 2, Fraction(1, 10), np.float32(0.5))) == 2
+
+
+@pytest.mark.parametrize("constants", [
+    {"c1": Fraction(3, 2), "c2": Fraction(5, 4), "w_fixed": Fraction(3, 4),
+     "w_max": Fraction(7, 8), "w_min": Fraction(1, 2)},
+    {"c1": 2, "c2": 1, "w_fixed": 1, "w_max": 1, "w_min": 0},
+    {"c1": np.float32(1.5), "c2": np.float16(1.25), "w_fixed": np.longdouble(0.75),
+     "w_max": np.float64(0.875), "w_min": np.int64(0)},
+], ids=["fractions", "ints", "numpy"])
+@pytest.mark.parametrize("runner", [run_pso, run_aio])
+def test_constants_run_as_the_equal_floats(runner, constants):
+    def trace(values):
+        params = PsoParams(population_size=6, max_iterations=20, **values)
+        assert all(type(getattr(params, name)) is float for name in values)
+        return runner(lookup("rastrigin", 4), params if runner is run_pso else
+                      AioParams(swarm_count=2, pso=params), seed=3).best_fitness.tobytes()
+
+    assert trace(constants) == trace({name: float(value) for name, value in constants.items()})
+
+
+@pytest.mark.parametrize("field, tag", [("c1", "<c1>"), ("population_size", "<population-size>")])
+def test_numbers_beyond_the_digit_limit_name_their_tag(field, tag):
+    assert getattr(PsoParams(**{field: 10**5000}), field) == (
+        math.inf if field == "c1" else 10**5000)
+    with pytest.raises(ConfigError) as err:
+        PsoParams(**{field: -10**5000})
+    assert str(err.value).startswith(f"{tag} must be")
+    assert str(err.value).endswith("got a negative number of more than 4300 digits")
+
+
+def test_cli_names_dimensions_that_numpy_cannot_allocate(capsys):
+    code = main(["--config", str(CONFIGS / "pso.xml"),
+                 "--dims", str(2**64), "--runs", "1"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: <dimensions> is too large to allocate")
 
 
 def test_numpy_integer_counts_pass():

@@ -1,6 +1,7 @@
 """Baseline swarm optimizer: schedules, update rules, and full runs."""
 import sys
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,9 +28,10 @@ def constant_factors(value, shape):
 
 
 def drawn(population, rng):
-    """``pso_step``'s factor block from ``rng``, drawn in place as ``run_pso``
-    draws it below ``PREFETCH_DRAWS``."""
-    return rng.random(out=population.step_buffers[0])
+    """``pso_step``'s ``(draws, work)``: the factor block drawn from ``rng`` and the
+    work row, in one buffer, as ``run_pso`` lays them out below ``PREFETCH_DRAWS``."""
+    home = np.empty((3,) + population.positions.shape)
+    return rng.random(out=home[:2]), home[2]
 
 
 class PresetRng:
@@ -65,6 +67,7 @@ def test_default_params_match_reference_setup():
         {"max_iterations": -1},
         {"w_fixed": -0.1},
         {"w_min": -0.5, "w_max": -0.1},
+        {"c2": Fraction(1, 10**400)},  # > 0, but 0.0 as a float
     ],
 )
 def test_invalid_params_rejected(kwargs):
@@ -89,7 +92,7 @@ def test_fixed_inertia_ignores_iteration():
         pbest_fitness=spec.evaluate(positions),
     )
     gbest = SwarmBest(position=positions[0].copy(), fitness=14.0)
-    pso_step(population, gbest, spec, params, drawn(population, np.random.default_rng(0)))
+    pso_step(population, gbest, spec, params, *drawn(population, np.random.default_rng(0)))
     np.testing.assert_array_equal(population.velocities, 0.6 * velocities)
 
 
@@ -288,7 +291,7 @@ def test_step_finds_optimum_when_a_particle_sits_on_it():
     )
     gbest = SwarmBest(position=positions[1].copy(), fitness=np.inf)
     gbest = pso_step(population, gbest, spec, PsoParams(population_size=2),
-                     drawn(population, np.random.default_rng(0)))
+                     *drawn(population, np.random.default_rng(0)))
     assert population.pbest_fitness[0] == 0.0
     assert gbest.fitness == 0.0
 
@@ -300,7 +303,7 @@ def test_step_never_worsens_gbest():
     population, gbest = init_population(spec, 20, rng)
     for _ in range(100):
         previous = gbest.fitness
-        gbest = pso_step(population, gbest, spec, params, drawn(population, rng))
+        gbest = pso_step(population, gbest, spec, params, *drawn(population, rng))
         assert gbest.fitness <= previous
 
 
@@ -310,7 +313,7 @@ def test_step_keeps_positions_in_box():
     rng = np.random.default_rng(123)
     population, gbest = init_population(spec, 15, rng)
     for _ in range(50):
-        gbest = pso_step(population, gbest, spec, params, drawn(population, rng))
+        gbest = pso_step(population, gbest, spec, params, *drawn(population, rng))
         assert np.all(population.positions >= spec.lower)
         assert np.all(population.positions <= spec.upper)
         assert np.all(np.abs(population.velocities) <= spec.upper - spec.lower)
@@ -323,7 +326,7 @@ def test_step_deterministic_from_identical_state():
     def one_step():
         rng = np.random.default_rng(77)
         population, gbest = init_population(spec, 10, rng)
-        gbest = pso_step(population, gbest, spec, params, drawn(population, rng))
+        gbest = pso_step(population, gbest, spec, params, *drawn(population, rng))
         return population.positions, gbest.fitness
 
     first_positions, first_fitness = one_step()
@@ -340,17 +343,33 @@ def test_step_moves_the_population_in_place():
     positions, velocities = population.positions, population.velocities
     for _ in range(5):
         before = positions.copy()
-        gbest = pso_step(population, gbest, spec, params, drawn(population, rng))
+        gbest = pso_step(population, gbest, spec, params, *drawn(population, rng))
         assert population.positions is positions
         assert population.velocities is velocities
         assert not np.array_equal(positions, before)
-    draws, diff = population.step_buffers
-    pso_step(population, gbest, spec, params, drawn(population, rng))
-    again = population.step_buffers
-    assert np.shares_memory(draws, again[0]) and np.shares_memory(diff, again[1])
-    assert not np.shares_memory(draws, diff)
-    # r1 and r2 are one contiguous array, filled by one draw
-    assert draws.shape == (2, 8, 6) and draws.flags.c_contiguous
+    draws, work = drawn(population, rng)
+    factors, scratch = draws.copy(), work.copy()
+    pso_step(population, gbest, spec, params, draws, work)
+    # the move overwrites the caller's factors and work row, and allocates neither
+    assert not np.array_equal(draws, factors) and not np.array_equal(work, scratch)
+
+
+def test_step_work_row_is_pure_scratch():
+    """A NaN-filled work row gives the step the same bits: it is written before it is read."""
+    spec = lookup("rastrigin", 6)
+    params = PsoParams(population_size=8, max_iterations=5)
+    outcomes = []
+    for fill in (0.0, np.nan):
+        rng = np.random.default_rng(4)
+        population, gbest = init_population(spec, 8, rng)
+        for _ in range(5):
+            draws, work = drawn(population, rng)
+            work.fill(fill)
+            gbest = pso_step(population, gbest, spec, params, draws, work)
+        outcomes.append([population.positions, population.velocities, population.pbest_positions,
+                         population.pbest_fitness, gbest.position, np.float64(gbest.fitness)])
+    for zeroed, nan_filled in zip(*outcomes):
+        assert zeroed.tobytes() == nan_filled.tobytes()
 
 
 # -------------------------------------------------------------------- runs
@@ -451,7 +470,7 @@ def test_run_matches_steps_drawn_in_place(monkeypatch, size, dims, prefetched):
     population, gbest = init_population(spec, size, rng)
     expected = []
     for _ in range(20):
-        gbest = pso_step(population, gbest, spec, params, drawn(population, rng))
+        gbest = pso_step(population, gbest, spec, params, *drawn(population, rng))
         expected.append(gbest.fitness)
     assert trace.best_fitness.tobytes() == np.array(expected).tobytes()
 
