@@ -62,7 +62,8 @@ class AioParams:
             number_rule("<mutation-rate>", self.mutation_rate, 0, 1),
             number_rule("<la-reward>", self.la_reward, 0, 1),
             number_rule("<la-penalty>", self.la_penalty, 0, 1),
-            (isinstance(self.pso, PsoParams), f"pso must be a PsoParams, got {self.pso!r}"),
+            (isinstance(self.pso, PsoParams),
+             f"pso must be a PsoParams, got {type(self.pso).__name__}"),
         )
 
 
@@ -104,7 +105,6 @@ class AioState:
     dimension_automata: AutomatonBank
     swarm_automata: AutomatonBank
     context: ContextState
-    _work: np.ndarray = field(default_factory=lambda: np.empty(0), init=False, repr=False)
 
     def population(self, choice: int) -> Population:
         positions, velocities, pbest_positions = self.columns[:, choice]
@@ -112,15 +112,6 @@ class AioState:
 
     pop_a = property(lambda self: self.population(POP_A))
     pop_b = property(lambda self: self.population(POP_B))
-
-    def work(self, size: int) -> np.ndarray:
-        """``size`` float64 entries that live as long as the state, made on the
-        first step, not at set-up.  At D = 1000 they are one 2.3 MB block,
-        whose release after a run raises glibc's heap trim threshold, so the
-        set-ups that follow keep their heap pages instead of faulting."""
-        if self._work.size < size:
-            self._work = np.empty(size)
-        return self._work[:size]
 
 
 def elite_count(elite_factor: float, population_size: int) -> int:
@@ -324,7 +315,8 @@ def aio_step(
     w = inertia_weight(cycle, iteration, params.pso)
 
     n = state.pbest_fitness.shape[1]
-    work = state.work((3 * n + draws_per_column(params, n)) * dims)
+    # One scratch block per call: the gathered rows, then the move's factors.
+    work = np.empty((3 * n + draws_per_column(params, n)) * dims)
     gathered = work[: 3 * n * dims].reshape(3, dims, n)
     order = np.concatenate(partition.members)
     rows = choice[partition.assignment[order]] * dims + order

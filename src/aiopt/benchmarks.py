@@ -226,7 +226,7 @@ def lookup_rules(name: str, dims: int) -> list[tuple[bool, str]]:
     valid = ", ".join(sorted(FUNCTIONS))
     return [
         (isinstance(name, str) and name in FUNCTIONS,
-         f"<benchmark> must be one of {valid}, got {name!r}"),
+         f"<benchmark> must be one of {valid}, got {shown(name, repr)}"),
         count_rule("<dimensions>", dims, 2),
     ]
 

@@ -21,8 +21,11 @@ def shown(value, text=str) -> str:
     try:
         return text(value)
     except ValueError:  # more than sys.get_int_max_str_digits() digits
+        limit = sys.get_int_max_str_digits()
+        if not isinstance(value, numbers.Real):  # a container that holds such a number
+            return f"a {type(value).__name__} holding a number of more than {limit} digits"
         sign = "a negative" if value < 0 else "a"
-        return f"{sign} number of more than {sys.get_int_max_str_digits()} digits"
+        return f"{sign} number of more than {limit} digits"
 
 
 def count_rule(name: str, value, least: int) -> tuple[bool, str]:

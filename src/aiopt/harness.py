@@ -7,7 +7,7 @@ import numpy as np
 
 from .aio import AioParams, run_aio, swarm_count_rule
 from .benchmarks import DOMAINS, lookup, lookup_rules
-from .errors import check, count_rule
+from .errors import check, count_rule, shown
 from .pso import PsoParams, RunTrace, run_pso, velocity_rule
 
 ALGORITHMS = ("pso", "aio")
@@ -31,13 +31,16 @@ class ExperimentConfig:
         return self.aio_params.pso
 
     def __post_init__(self):
-        check((self.algorithm in ALGORITHMS,
-               f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}"),
+        check((isinstance(self.algorithm, str) and self.algorithm in ALGORITHMS,
+               f"algorithm must be one of {ALGORITHMS}, got {shown(self.algorithm, repr)}"),
               count_rule("<runs>", self.runs, 1),
               count_rule("<seed>", self.base_seed, 0),
               *lookup_rules(self.benchmark, self.dims),
               (isinstance(self.aio_params, AioParams),
-               f"aio_params must be an AioParams, got {self.aio_params!r}"))
+               f"aio_params must be an AioParams, got {type(self.aio_params).__name__}"),
+              (self.output_path is None
+               or isinstance(self.output_path, str) and self.output_path != "",
+               f"<output> must be a non-empty path, got {shown(self.output_path, repr)}"))
         check(velocity_rule(self.algorithm, self.pso_params, *DOMAINS[self.benchmark]),
               swarm_count_rule(self.aio_params.swarm_count, self.dims)
               if self.algorithm == "aio" else (True, ""))

@@ -865,6 +865,40 @@ def test_population_views_write_through():
     np.testing.assert_array_equal(state.pop_b.velocities, reference.velocities)
 
 
+def test_states_of_different_shapes_step_apart_in_one_process():
+    """Each step makes its own scratch block, so two states stepped in
+    alternation end as each does when stepped alone."""
+    setups = [
+        (lookup("rastrigin", 7), AioParams(swarm_count=3, pso=PsoParams(population_size=6)), 21),
+        (lookup("rosenbrock", 30), AioParams(swarm_count=5, pso=PsoParams(population_size=10)), 22),
+    ]
+
+    def start(spec, params, seed):
+        rng = np.random.default_rng(seed)
+        return init_aio_state(spec, params, rng), rng, []
+
+    def step(run, spec, params, i):
+        state, rng, trace = run
+        trace.append(aio_step(state, spec, params, i, rng))
+
+    def outcome(run):
+        state, rng, trace = run
+        return np.array(trace).tobytes(), state.columns.tobytes(), rng.bit_generator.state
+
+    alone = []
+    for setup in setups:
+        run = start(*setup)
+        for i in range(40):
+            step(run, *setup[:2], i)
+        alone.append(outcome(run))
+
+    runs = [start(*setup) for setup in setups]
+    for i in range(40):
+        for run, setup in zip(runs, setups):
+            step(run, *setup[:2], i)
+    assert [outcome(run) for run in runs] == alone
+
+
 # -------------------------------------------------------------------- runs
 
 def test_run_trace_contract():

@@ -155,6 +155,7 @@ def test_full_parameter_document():
         ('<aio extra="1"><c1>1.2</c1></aio>', "<aio> takes no attributes, got extra"),
         ('<aio><super-component type="pso" mode="x"/></aio>',
          "<super-component> takes no attributes but type, got mode"),
+        ("<pso><output></output></pso>", "<output> must be a non-empty path, got ''"),
     ],
 )
 def test_rejected_documents_name_the_problem(document, fragment):
@@ -212,10 +213,32 @@ def test_counts_must_be_integers_in_library_code(build, message):
     pytest.param(lambda: ExperimentConfig("pso", benchmark=["x"]),
                  "<benchmark> must be one of ackley, griewank, rastrigin, rosenbrock, sphere, "
                  "got ['x']", id="benchmark-list"),
-    pytest.param(lambda: AioParams(pso=None), "pso must be a PsoParams, got None", id="pso"),
+    pytest.param(lambda: AioParams(pso=None), "pso must be a PsoParams, got NoneType", id="pso"),
     pytest.param(lambda: ExperimentConfig("pso", aio_params=PsoParams(population_size=4)),
-                 f"aio_params must be an AioParams, got {PsoParams(population_size=4)!r}",
-                 id="aio-params"),
+                 "aio_params must be an AioParams, got PsoParams", id="aio-params"),
+    # A parameter set of the wrong kind is named by its type, never printed: this
+    # one holds an int too long for Python to print.
+    pytest.param(lambda: ExperimentConfig(
+                     "pso", aio_params=PsoParams(population_size=10**5000)),
+                 "aio_params must be an AioParams, got PsoParams", id="aio-params-long-int"),
+    pytest.param(lambda: AioParams(pso=AioParams(pso=PsoParams(population_size=10**5000))),
+                 "pso must be a PsoParams, got AioParams", id="pso-long-int"),
+    pytest.param(lambda: ExperimentConfig(10**5000),
+                 "algorithm must be one of ('pso', 'aio'), got a number of more than 4300 digits",
+                 id="algorithm-long-int"),
+    pytest.param(lambda: ExperimentConfig(np.array(["pso", "aio"])),
+                 "algorithm must be one of ('pso', 'aio'), got array(['pso', 'aio'], dtype='<U3')",
+                 id="algorithm-array"),
+    pytest.param(lambda: ExperimentConfig("pso", benchmark=10**5000),
+                 "<benchmark> must be one of ackley, griewank, rastrigin, rosenbrock, sphere, "
+                 "got a number of more than 4300 digits", id="benchmark-long-int"),
+    pytest.param(lambda: ExperimentConfig("pso", runs=[10**5000]),
+                 "<runs> must be an integer, got a list holding a number of more than 4300 digits",
+                 id="runs-long-int-list"),
+    *(pytest.param(lambda value=value: ExperimentConfig("pso", output_path=value),
+                   f"<output> must be a non-empty path, got {value!r}", id=f"output-{name}")
+      for name, value in [("bool", True), ("int", 5), ("float", 3.5), ("bytes", b"x.csv"),
+                          ("empty", "")]),
     # Relation rules run only once the fields they relate have passed.
     pytest.param(lambda: PsoParams(w_min="x"), "<w-min> must be a number, got 'x'",
                  id="w-min-before-relation"),
@@ -637,6 +660,14 @@ def test_cli_flags_replace_file_values_before_the_check(tmp_path, capsys, flags)
     assert main(["--config", config, "--out", str(tmp_path / "out.csv"), *flags]) == 0
     assert main(["--config", config, "--out", str(tmp_path / "out.csv")]) == 1
     assert "<tdr-factor>" in capsys.readouterr().err
+
+
+def test_cli_rejects_an_empty_output_path(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    config = write_config(tmp_path, "<pso><runs>1</runs><iterations>3</iterations></pso>")
+    assert main(["--config", config, "--out", ""]) == 1
+    assert capsys.readouterr().err == "error: <output> must be a non-empty path, got ''\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == [Path(config).name]
 
 
 def test_cli_dimension_override_is_validated(tmp_path, capsys):
