@@ -15,6 +15,8 @@ ranges live on the frozen dataclasses ``ExperimentConfig`` (in
 """
 from __future__ import annotations
 
+import math
+import unicodedata
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
@@ -32,10 +34,17 @@ def _integer(tag: str, text: str) -> int:
 
 
 def _number(tag: str, text: str) -> float:
+    """A decimal by ``float``, which reads ``1e10000000`` as ``inf`` at once where
+    ``Fraction`` builds its digits; an ``a/b`` of integers by ``Fraction``."""
     try:
-        return float(Fraction(text))
+        value = float(Fraction(text)) if "/" in text else float(text)
     except (ValueError, ZeroDivisionError, OverflowError):
-        raise ConfigError(f"<{tag}> must be a finite number, got {text!r}") from None
+        value = math.nan
+    if not math.isfinite(value):
+        raise ConfigError(f"<{tag}> must be a finite number, got {text!r}")
+    if value == 0 and not any(unicodedata.digit(ch, 0) for ch in text.lower().partition("e")[0]):
+        return 0.0  # an exact zero such as "-0" has no sign; "-1e-400" rounds to -0.0
+    return value
 
 
 def _text(tag: str, text: str) -> str:

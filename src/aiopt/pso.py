@@ -8,14 +8,12 @@ adaptive optimizer built on top of it.
 from __future__ import annotations
 
 import math
-import queue
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .benchmarks import BenchmarkSpec
-from .errors import check, count_rule, number_rule
+from .errors import ConfigError, check, count_rule, number_rule
 
 
 @dataclass(frozen=True)
@@ -114,8 +112,12 @@ def inertia_weight(mode: str, iteration: int, params: PsoParams) -> float:
     """Adaptive inertia for the given iteration: slow or quick decay.
 
     The slow schedule decays at three quarters of the quick schedule's
-    rate, so it retains more momentum near the iteration budget.
+    rate, so it retains more momentum near the iteration budget.  Raises
+    ``ConfigError`` for a budget of 0 iterations, which has no schedule.
     """
+    if params.max_iterations < 1:
+        raise ConfigError(f"<iterations> must be >= 1 for an inertia schedule, "
+                          f"got {params.max_iterations}")
     span = params.w_max - params.w_min
     if mode == "slow":
         return params.w_max - 0.75 * iteration * span / params.max_iterations
@@ -209,60 +211,22 @@ def pso_step(
     return gbest
 
 
-def draw_blocks(
-    rng: np.random.Generator, free: queue.SimpleQueue, drawn: queue.SimpleQueue
-) -> None:
-    """Fill each block taken from ``free`` with ``rng.random(out=block)`` and put it
-    on ``drawn``, until ``free`` gives ``None``; an exception is put on ``drawn`` instead."""
-    try:
-        while (block := free.get()) is not None:
-            drawn.put(rng.random(out=block))
-    except BaseException as exc:  # raised again by run_pso
-        drawn.put(exc)
-
-
-PREFETCH_DRAWS = 1 << 16
-
-
 def run_pso(spec: BenchmarkSpec, params: PsoParams, seed: int) -> RunTrace:
     """Full seeded PSO run; records the global best after every iteration.
 
-    Steps of ``PREFETCH_DRAWS`` or more draws have them made one step ahead by
-    a ``draw_blocks`` thread (below it, its hand-offs cost more than the draws
-    they hide).  It makes exactly one ``rng.random`` call per step, in order, so
-    the trace has the same bits, and it is joined before this returns or raises.
-    One ``(3, n, D)`` buffer holds a step's factors (at or above the threshold, the
-    first block drawn ahead) and its work row; at D = 1000 glibc serves it with mmap,
-    so freeing it raises the heap trim threshold and later set-ups keep their pages.
-    Raises ``ConfigError`` if ``params`` break ``velocity_rule`` in ``spec``'s box.
+    One ``(3, n, D)`` buffer holds a step's factors, drawn into its first two rows
+    with one ``rng.random`` call per step, and its work row; at D = 1000 glibc serves
+    it with mmap, so freeing it raises the heap trim threshold and later set-ups keep
+    their pages.  Raises ``ConfigError`` if ``params`` break ``velocity_rule`` in
+    ``spec``'s box.
     """
     check(velocity_rule("pso", params, spec.lower, spec.upper))
     rng = np.random.default_rng(seed)
     population, gbest = init_population(spec, params.population_size, rng)
-    steps = params.max_iterations
-    trace = np.empty(steps, dtype=np.float64)
+    trace = np.empty(params.max_iterations, dtype=np.float64)
     home = np.empty((3,) + population.positions.shape)
     draws, work = home[:2], home[2]
-    if draws.size < PREFETCH_DRAWS:
-        for i in range(steps):
-            gbest = pso_step(population, gbest, spec, params, rng.random(out=draws), work)
-            trace[i] = gbest.fitness
-        return RunTrace(best_fitness=trace, final_fitness=gbest.fitness, seed=seed)
-    free, drawn = queue.SimpleQueue(), queue.SimpleQueue()
-    for block in (draws, np.empty_like(draws))[:steps]:
-        free.put(block)
-    worker = threading.Thread(target=draw_blocks, args=(rng, free, drawn), daemon=True)
-    worker.start()
-    try:
-        for i in range(steps):
-            draws = drawn.get()
-            if isinstance(draws, BaseException):
-                raise draws
-            gbest = pso_step(population, gbest, spec, params, draws, work)
-            trace[i] = gbest.fitness
-            if i + 2 < steps:  # a block for step i + 2
-                free.put(draws)
-    finally:
-        free.put(None)
-        worker.join()
+    for i in range(params.max_iterations):
+        gbest = pso_step(population, gbest, spec, params, rng.random(out=draws), work)
+        trace[i] = gbest.fitness
     return RunTrace(best_fitness=trace, final_fitness=gbest.fitness, seed=seed)

@@ -927,6 +927,15 @@ def test_run_with_zero_iterations_reports_initial_best():
     assert trace.final_fitness == state.context.gbest_fitness
 
 
+def test_step_under_a_zero_budget_names_the_tag():
+    spec = lookup("sphere", 4)
+    params = AioParams(swarm_count=2, pso=PsoParams(population_size=4, max_iterations=0))
+    rng = np.random.default_rng(0)
+    state = init_aio_state(spec, params, rng)
+    with pytest.raises(ConfigError, match="^<iterations> must be >= 1 for an inertia schedule, got 0$"):
+        aio_step(state, spec, params, 0, rng)
+
+
 @pytest.mark.parametrize("name", ["sphere", "rastrigin"])
 def test_run_reads_only_the_adaptive_inertia(name):
     spec = lookup(name, 10)

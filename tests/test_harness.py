@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from decimal import Decimal
 from fractions import Fraction
@@ -11,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import aiopt
 from aiopt import (
@@ -29,6 +32,7 @@ from aiopt import (
 )
 from aiopt.automata import AutomatonBank, LearningAutomaton
 from aiopt.cli import main
+from aiopt.config import TAGS
 from aiopt.pso import RunTrace, init_population
 
 MINIMAL_AIO = '<aio><super-component type="pso"/></aio>'
@@ -79,6 +83,47 @@ def test_leaves_may_sit_inside_the_super_component():
 def test_elite_factor_accepts_a_fraction():
     config = parse_config("<aio><elite-factor>2/3</elite-factor></aio>")
     assert config.aio_params.elite_factor == pytest.approx(2 / 3)
+
+
+DECIMALS = st.from_regex(r"\A[-+]?(\d+\.?\d*|\.\d+)([eE][-+]?\d{1,3})?\Z")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(DECIMALS, st.floats().map(repr), st.text(max_size=8)))
+def test_numbers_parse_with_the_bits_of_a_fraction(text):
+    parse = TAGS["c1"][2]
+    try:
+        expected = float(Fraction(text))
+    except (ValueError, ZeroDivisionError, OverflowError):
+        return
+    try:
+        value = parse("c1", text)
+    except ConfigError:
+        return
+    assert value.hex() == expected.hex()
+
+
+@pytest.mark.parametrize("text, value", [
+    ("-0", "0x0.0p+0"), ("-0.0e5", "0x0.0p+0"), ("-0/5", "0x0.0p+0"), ("-.000", "0x0.0p+0"),
+    ("-1e-400", "-0x0.0p+0"), ("3/4", "0x1.8000000000000p-1"),
+])
+def test_exact_zeros_parse_without_a_sign(text, value):
+    assert TAGS["w"][2]("w", text).hex() == value
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1e10000000", "<c1> must be a finite number, got '1e10000000'"),
+    ("-1e10000000", "<c1> must be a finite number, got '-1e10000000'"),
+    ("1e-10000000", "<c1> must be > 0, got 0.0"),
+    ("inf", "<c1> must be a finite number, got 'inf'"),
+    ("nan", "<c1> must be a finite number, got 'nan'"),
+])
+def test_huge_exponents_are_rejected_at_once(text, message):
+    start = time.perf_counter()
+    with pytest.raises(ConfigError) as err:
+        parse_config(f"<aio><c1>{text}</c1></aio>")
+    assert time.perf_counter() - start < 1.0  # Fraction took seconds to build the digits
+    assert str(err.value) == message
 
 
 def test_full_parameter_document():

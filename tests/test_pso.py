@@ -1,5 +1,4 @@
 """Baseline swarm optimizer: schedules, update rules, and full runs."""
-import sys
 import threading
 from fractions import Fraction
 
@@ -10,10 +9,8 @@ from hypothesis import strategies as st
 
 from aiopt import ConfigError, PsoParams, lookup, run_pso
 from aiopt.pso import (
-    PREFETCH_DRAWS,
     Population,
     SwarmBest,
-    draw_blocks,
     init_population,
     inertia_weight,
     pso_step,
@@ -29,7 +26,7 @@ def constant_factors(value, shape):
 
 def drawn(population, rng):
     """``pso_step``'s ``(draws, work)``: the factor block drawn from ``rng`` and the
-    work row, in one buffer, as ``run_pso`` lays them out below ``PREFETCH_DRAWS``."""
+    work row, in one buffer, as ``run_pso`` lays them out."""
     home = np.empty((3,) + population.positions.shape)
     return rng.random(out=home[:2]), home[2]
 
@@ -99,6 +96,12 @@ def test_fixed_inertia_ignores_iteration():
 def test_inertia_weight_has_only_the_adaptive_cycles():
     with pytest.raises(ValueError, match="unknown inertia mode"):
         inertia_weight("fixed", 0, PsoParams())
+
+
+@pytest.mark.parametrize("mode", ["slow", "quick"])
+def test_inertia_weight_of_a_zero_budget_names_the_tag(mode):
+    with pytest.raises(ConfigError, match="^<iterations> must be >= 1 for an inertia schedule, got 0$"):
+        inertia_weight(mode, 0, PsoParams(max_iterations=0))
 
 
 def test_quick_schedule_endpoints():
@@ -420,52 +423,20 @@ def test_easy_unimodal_target_reached():
     assert np.median(finals) < 1e-6
 
 
-# ------------------------------------------------------- prefetched draws
+# ----------------------------------------------------------- draws in place
 
-def guarded(call, timeout=120.0):
-    """``call()`` on a thread joined with ``timeout``, so a run left waiting
-    fails the test instead of hanging it.  Returns ``call``'s result, or the
-    exception it raised, after checking that no thread outlived it."""
-    outcome = []
-
-    def target():
-        try:
-            outcome.append(call())
-        except BaseException as exc:
-            outcome.append(exc)
-
-    before = threading.active_count()
-    thread = threading.Thread(target=target, daemon=True)
-    thread.start()
-    thread.join(timeout)
-    assert not thread.is_alive(), f"no result after {timeout} s"
-    assert threading.active_count() == before
-    return outcome[0]
-
-
-@pytest.mark.parametrize("size,dims,prefetched", [
-    (32, 1024, True),    # 65,536 draws a step: the smallest prefetched step
+@pytest.mark.parametrize("size,dims,wide", [
+    (32, 1024, True),    # 65,536 draws a step
     (50, 1000, True),    # pso-sphere-d1000
-    (32, 1023, False),   # 65,472 draws a step: drawn in place
+    (32, 1023, False),   # 65,472 draws a step
 ])
-def test_run_matches_steps_drawn_in_place(monkeypatch, size, dims, prefetched):
-    assert (2 * size * dims >= PREFETCH_DRAWS) == prefetched
-    made = []
-
-    def counted(*args):
-        made.append(None)
-        draw_blocks(*args)
-
-    monkeypatch.setattr("aiopt.pso.draw_blocks", counted)
+def test_run_matches_steps_drawn_in_place(size, dims, wide):
+    # The sizes straddle 2^16 draws a step, from which run_pso once drew a
+    # step ahead on a second thread; each size now draws in place.
+    assert (2 * size * dims >= 1 << 16) == wide
     spec = lookup("sphere", dims)
     params = PsoParams(population_size=size, max_iterations=20)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # hand the GIL over as often as possible
-    try:
-        trace = guarded(lambda: run_pso(spec, params, seed=8))
-    finally:
-        sys.setswitchinterval(interval)
-    assert len(made) == prefetched
+    trace = run_pso(spec, params, seed=8)
     rng = np.random.default_rng(8)
     population, gbest = init_population(spec, size, rng)
     expected = []
@@ -475,7 +446,20 @@ def test_run_matches_steps_drawn_in_place(monkeypatch, size, dims, prefetched):
     assert trace.best_fitness.tobytes() == np.array(expected).tobytes()
 
 
-def test_prefetched_run_raises_a_step_failure(monkeypatch):
+def test_d1000_run_starts_no_thread(monkeypatch):
+    step, counts = pso_step, []
+
+    def counted_step(*args):
+        counts.append(threading.active_count())
+        return step(*args)
+
+    monkeypatch.setattr("aiopt.pso.pso_step", counted_step)
+    before = threading.active_count()
+    run_pso(lookup("sphere", 1000), PsoParams(population_size=50, max_iterations=5), seed=1)
+    assert counts == [before] * 5
+
+
+def test_run_raises_a_step_failure(monkeypatch):
     step, calls = pso_step, []
 
     def failing_step(*args):
@@ -486,12 +470,12 @@ def test_prefetched_run_raises_a_step_failure(monkeypatch):
 
     monkeypatch.setattr("aiopt.pso.pso_step", failing_step)
     params = PsoParams(population_size=50, max_iterations=20)
-    outcome = guarded(lambda: run_pso(lookup("sphere", 1000), params, seed=1))
-    assert isinstance(outcome, RuntimeError) and str(outcome) == "third step failed"
+    with pytest.raises(RuntimeError, match="^third step failed$"):
+        run_pso(lookup("sphere", 1000), params, seed=1)
     assert len(calls) == 3
 
 
-def test_prefetched_run_raises_a_draw_failure(monkeypatch):
+def test_run_raises_a_draw_failure_on_the_caller(monkeypatch):
     threads = []
 
     class FailingDraws(np.random.Generator):
@@ -501,19 +485,13 @@ def test_prefetched_run_raises_a_draw_failure(monkeypatch):
 
     monkeypatch.setattr(np.random, "default_rng", lambda seed: FailingDraws(np.random.PCG64(seed)))
     params = PsoParams(population_size=50, max_iterations=20)
-    caller = []
-
-    def run():
-        caller.append(threading.current_thread())
-        return run_pso(lookup("sphere", 1000), params, seed=1)
-
-    outcome = guarded(run)
-    assert isinstance(outcome, RuntimeError) and str(outcome) == "draw failed"
-    assert len(threads) == 1 and threads[0] is not caller[0]
+    with pytest.raises(RuntimeError, match="^draw failed$"):
+        run_pso(lookup("sphere", 1000), params, seed=1)
+    assert threads == [threading.current_thread()]
 
 
 @pytest.mark.parametrize("steps", [0, 1, 2, 3, 20])
-def test_prefetched_run_draws_once_per_step_off_the_caller(monkeypatch, steps):
+def test_run_draws_once_per_step_on_the_caller(monkeypatch, steps):
     threads = []
 
     class CountedDraws(np.random.Generator):
@@ -523,12 +501,6 @@ def test_prefetched_run_draws_once_per_step_off_the_caller(monkeypatch, steps):
 
     monkeypatch.setattr(np.random, "default_rng", lambda seed: CountedDraws(np.random.PCG64(seed)))
     params = PsoParams(population_size=50, max_iterations=steps)
-    caller = []
-
-    def run():
-        caller.append(threading.current_thread())
-        return run_pso(lookup("sphere", 1000), params, seed=1)
-
-    trace = guarded(run)
+    trace = run_pso(lookup("sphere", 1000), params, seed=1)
     assert trace.best_fitness.size == steps
-    assert len(threads) == steps and caller[0] not in threads
+    assert threads == [threading.current_thread()] * steps
